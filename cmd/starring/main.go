@@ -174,14 +174,11 @@ func main() {
 	streaming := plan != nil && plan.Streaming()
 
 	g := star.New(*n)
-	if streaming {
-		// Never materialize: re-verify through a fresh cursor at
-		// O(#blocks) memory, the same path the embedder's own
-		// self-verification took.
-		if _, err := check.RingStream(g, plan.Cursor().Next, fs, 0); err != nil {
-			fatal(fmt.Errorf("verification failed: %w", err))
-		}
-	} else if err := check.Ring(g, ring, fs, 0); err != nil {
+	// Re-verify through the same iterator -print uses: a fresh cursor
+	// for the paper's algorithm (O(#blocks) memory in streaming mode,
+	// the path the embedder's own self-verification took), the slice
+	// for the baselines.
+	if _, err := check.RingStream(g, ringNext(plan, ring), fs, 0); err != nil {
 		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 
@@ -196,7 +193,7 @@ func main() {
 	}
 	if *print {
 		w := bufio.NewWriter(os.Stdout)
-		for next := ringNext(plan, ring, streaming); ; {
+		for next := ringNext(plan, ring); ; {
 			v, ok := next()
 			if !ok {
 				break
@@ -233,9 +230,9 @@ func main() {
 }
 
 // ringNext returns an iterator over the embedded ring: a fresh cursor
-// in streaming mode, a slice walk otherwise.
-func ringNext(plan *core.Plan, ring []perm.Code, streaming bool) func() (perm.Code, bool) {
-	if streaming {
+// when there is a plan (either mode), a slice walk for the baselines.
+func ringNext(plan *core.Plan, ring []perm.Code) func() (perm.Code, bool) {
+	if plan != nil {
 		return plan.Cursor().Next
 	}
 	i := 0

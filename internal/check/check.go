@@ -19,69 +19,30 @@ var ErrInvalidRing = errors.New("check: invalid ring")
 // Ring verifies that cycle is a healthy simple cycle of S_n of length at
 // least minLen: consecutive vertices (including the wraparound) must be
 // adjacent, no vertex may repeat, no vertex may be faulty, and no used
-// edge may be faulty. fs may be nil for the fault-free case.
+// edge may be faulty. fs may be nil for the fault-free case. It feeds
+// the slice through a StreamVerifier, so every entry point shares one
+// set of checks.
 func Ring(g star.Graph, cycle []perm.Code, fs *faults.Set, minLen int) error {
-	n := g.N()
-	if len(cycle) < minLen {
-		return fmt.Errorf("%w: length %d < required %d", ErrInvalidRing, len(cycle), minLen)
-	}
-	if len(cycle) < 3 {
-		return fmt.Errorf("%w: a cycle needs >= 3 vertices, got %d", ErrInvalidRing, len(cycle))
-	}
-	seen := make(map[perm.Code]int, len(cycle))
-	for i, v := range cycle {
-		if !v.Valid(n) {
-			return fmt.Errorf("%w: entry %d (%#v) is not a vertex of S_%d", ErrInvalidRing, i, v, n)
-		}
-		if j, dup := seen[v]; dup {
-			return fmt.Errorf("%w: vertex %s repeats at positions %d and %d", ErrInvalidRing, v.StringN(n), j, i)
-		}
-		seen[v] = i
-		if fs != nil && fs.HasVertex(v) {
-			return fmt.Errorf("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(n), i)
+	sv := newStreamVerifier(g, fs)
+	for _, v := range cycle {
+		if err := sv.Feed(v); err != nil {
+			return err
 		}
 	}
-	for i, v := range cycle {
-		w := cycle[(i+1)%len(cycle)]
-		if !g.Adjacent(v, w) {
-			return fmt.Errorf("%w: %s and %s (positions %d, %d) are not adjacent",
-				ErrInvalidRing, v.StringN(n), w.StringN(n), i, (i+1)%len(cycle))
-		}
-		if fs != nil && fs.HasEdge(v, w) {
-			return fmt.Errorf("%w: faulty edge {%s, %s} used at position %d",
-				ErrInvalidRing, v.StringN(n), w.StringN(n), i)
-		}
-	}
-	return nil
+	return sv.Close(minLen)
 }
 
 // Path verifies that path is a healthy simple path of S_n: consecutive
-// adjacency without the wraparound, distinctness, healthiness.
+// adjacency without the wraparound, distinctness, healthiness. It is
+// Ring without Close, which is where the wraparound edge is checked.
 func Path(g star.Graph, path []perm.Code, fs *faults.Set) error {
-	n := g.N()
 	if len(path) == 0 {
 		return fmt.Errorf("%w: empty path", ErrInvalidRing)
 	}
-	seen := make(map[perm.Code]int, len(path))
-	for i, v := range path {
-		if !v.Valid(n) {
-			return fmt.Errorf("%w: entry %d is not a vertex of S_%d", ErrInvalidRing, i, n)
-		}
-		if j, dup := seen[v]; dup {
-			return fmt.Errorf("%w: vertex %s repeats at positions %d and %d", ErrInvalidRing, v.StringN(n), j, i)
-		}
-		seen[v] = i
-		if fs != nil && fs.HasVertex(v) {
-			return fmt.Errorf("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(n), i)
-		}
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !g.Adjacent(path[i], path[i+1]) {
-			return fmt.Errorf("%w: %s and %s (positions %d, %d) are not adjacent",
-				ErrInvalidRing, path[i].StringN(n), path[i+1].StringN(n), i, i+1)
-		}
-		if fs != nil && fs.HasEdge(path[i], path[i+1]) {
-			return fmt.Errorf("%w: faulty edge {%s, %s} used", ErrInvalidRing, path[i].StringN(n), path[i+1].StringN(n))
+	sv := newStreamVerifier(g, fs)
+	for _, v := range path {
+		if err := sv.Feed(v); err != nil {
+			return err
 		}
 	}
 	return nil

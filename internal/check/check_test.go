@@ -2,12 +2,81 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
+
+// refRing is the independent reference the verifier is held to: the
+// original map-based check, kept in the tests only. It shares no code
+// with StreamVerifier beyond the perm and faults primitives.
+func refRing(g star.Graph, cycle []perm.Code, fs *faults.Set, minLen int) error {
+	n := g.N()
+	if len(cycle) < minLen {
+		return fmt.Errorf("%w: length %d < required %d", ErrInvalidRing, len(cycle), minLen)
+	}
+	if len(cycle) < 3 {
+		return fmt.Errorf("%w: a cycle needs >= 3 vertices, got %d", ErrInvalidRing, len(cycle))
+	}
+	if err := refDistinctHealthy(n, cycle, fs); err != nil {
+		return err
+	}
+	for i, v := range cycle {
+		if err := refEdge(g, v, cycle[(i+1)%len(cycle)], fs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refPath is refRing's open-path counterpart: no wraparound edge.
+func refPath(g star.Graph, path []perm.Code, fs *faults.Set) error {
+	if len(path) == 0 {
+		return fmt.Errorf("%w: empty path", ErrInvalidRing)
+	}
+	if err := refDistinctHealthy(g.N(), path, fs); err != nil {
+		return err
+	}
+	for i := 0; i+1 < len(path); i++ {
+		if err := refEdge(g, path[i], path[i+1], fs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refDistinctHealthy checks validity, distinctness (by hash map) and
+// vertex health.
+func refDistinctHealthy(n int, seq []perm.Code, fs *faults.Set) error {
+	seen := make(map[perm.Code]int, len(seq))
+	for i, v := range seq {
+		if !v.Valid(n) {
+			return fmt.Errorf("%w: entry %d is not a vertex of S_%d", ErrInvalidRing, i, n)
+		}
+		if j, dup := seen[v]; dup {
+			return fmt.Errorf("%w: vertex %s repeats at positions %d and %d", ErrInvalidRing, v.StringN(n), j, i)
+		}
+		seen[v] = i
+		if fs != nil && fs.HasVertex(v) {
+			return fmt.Errorf("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(n), i)
+		}
+	}
+	return nil
+}
+
+// refEdge checks one used edge for adjacency and health.
+func refEdge(g star.Graph, v, w perm.Code, fs *faults.Set) error {
+	if !g.Adjacent(v, w) {
+		return fmt.Errorf("%w: %s and %s are not adjacent", ErrInvalidRing, v.StringN(g.N()), w.StringN(g.N()))
+	}
+	if fs != nil && fs.HasEdge(v, w) {
+		return fmt.Errorf("%w: faulty edge {%s, %s} used", ErrInvalidRing, v.StringN(g.N()), w.StringN(g.N()))
+	}
+	return nil
+}
 
 // hexagon returns the 6-cycle that is S_3.
 func hexagon() []perm.Code {
@@ -64,6 +133,9 @@ func TestRingRejections(t *testing.T) {
 		if c.fs != nil {
 			fs = c.fs()
 		}
+		if refRing(g, c.cycle, fs, c.min) == nil {
+			t.Fatalf("%s: the reference accepts the case", c.name)
+		}
 		err := Ring(g, c.cycle, fs, c.min)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
@@ -82,26 +154,42 @@ func TestRingRejectsForeignVertex(t *testing.T) {
 	}
 }
 
+// TestPath holds Path to refPath on valid and broken paths, including
+// the open wraparound a path may have and a ring may not.
 func TestPath(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
-	if err := Path(g, hex[:4], nil); err != nil {
-		t.Fatalf("valid path rejected: %v", err)
+	faultyMid := faults.NewSet(3)
+	faultyMid.AddVertex(hex[1])
+	faultyEdge := faults.NewSet(3)
+	faultyEdge.AddEdge(hex[1], hex[2])
+	cases := []struct {
+		name string
+		path []perm.Code
+		fs   *faults.Set
+		ok   bool
+	}{
+		{"valid", hex[:4], nil, true},
+		{"whole hexagon", hex, nil, true},
+		{"single vertex", hex[:1], nil, true},
+		{"open wraparound", []perm.Code{hex[0], hex[1], hex[2]}, nil, true},
+		{"empty", nil, nil, false},
+		{"disconnected pair", []perm.Code{hex[0], hex[2]}, nil, false},
+		{"duplicate vertex", []perm.Code{hex[0], hex[1], hex[0]}, nil, false},
+		{"foreign vertex", []perm.Code{hex[0], perm.None}, nil, false},
+		{"faulty vertex", hex[:3], faultyMid, false},
+		{"faulty edge", hex[:3], faultyEdge, false},
 	}
-	if err := Path(g, nil, nil); err == nil {
-		t.Fatal("empty path accepted")
-	}
-	// A path need not close: the wraparound pair may be non-adjacent.
-	if err := Path(g, []perm.Code{hex[0], hex[1], hex[2]}, nil); err != nil {
-		t.Fatalf("open path rejected: %v", err)
-	}
-	if err := Path(g, []perm.Code{hex[0], hex[2]}, nil); err == nil {
-		t.Fatal("disconnected pair accepted")
-	}
-	fs := faults.NewSet(3)
-	fs.AddVertex(hex[1])
-	if err := Path(g, hex[:3], fs); err == nil {
-		t.Fatal("faulty vertex on path accepted")
+	for _, c := range cases {
+		ref := refPath(g, c.path, c.fs)
+		if (ref == nil) != c.ok {
+			t.Fatalf("%s: reference verdict %v, table says ok=%v", c.name, ref, c.ok)
+		}
+		if got := Path(g, c.path, c.fs); (got == nil) != c.ok {
+			t.Errorf("%s: Path=%v, reference=%v", c.name, got, ref)
+		} else if got != nil && !errors.Is(got, ErrInvalidRing) {
+			t.Errorf("%s: error not wrapping ErrInvalidRing: %v", c.name, got)
+		}
 	}
 }
 

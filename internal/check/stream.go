@@ -12,16 +12,17 @@ import (
 // without ever holding the cycle: Feed checks each vertex as it
 // arrives (validity, healthiness, adjacency to its predecessor, and
 // distinctness), Close checks the wraparound edge and the length
-// bounds. It is the constant-memory counterpart of Ring for rings too
-// large to materialize — n = 10 is 3.6M vertices, n = 12 is 479M.
+// bounds. It is the package's one verification mechanism: Ring and
+// Path feed it from a slice, RingStream from an iterator, so rings too
+// large to materialize (n = 10 is 3.6M vertices, n = 12 is 479M) get
+// exactly the verdict a materialized ring would.
 //
 // Distinctness is tracked by Lehmer rank in a lazily paged bitset:
 // n!/8 bytes fully touched, the same order as the O(#blocks) skeleton
 // the streaming embedder keeps (24 ring vertices ≈ 3 bitset bytes per
-// block) and far below the O(n!) words of a materialized ring plus the
-// hash map Ring builds. Practical through n = 12 (60 MB of bits);
-// beyond that exact distinctness outgrows memory whatever the
-// representation.
+// block) and far below the O(n!) words of a materialized ring.
+// Practical through n = 12 (60 MB of bits); beyond that exact
+// distinctness outgrows memory whatever the representation.
 //
 // A StreamVerifier is single-use: after Close (or the first error) it
 // rejects further Feeds. Not safe for concurrent use.
@@ -40,8 +41,15 @@ type StreamVerifier struct {
 // NewStreamVerifier returns a verifier for rings of S_n streamed
 // vertex by vertex. fs may be nil for the fault-free case.
 func NewStreamVerifier(g star.Graph, fs *faults.Set) *StreamVerifier {
+	sv := newStreamVerifier(g, fs)
+	return &sv
+}
+
+// newStreamVerifier returns the verifier by value, so that Ring and
+// Path keep it on the stack.
+func newStreamVerifier(g star.Graph, fs *faults.Set) StreamVerifier {
 	n := g.N()
-	return &StreamVerifier{g: g, fs: fs, n: n, seen: newPagedBits(perm.Factorial(n))}
+	return StreamVerifier{g: g, fs: fs, n: n, seen: newPagedBits(perm.Factorial(n))}
 }
 
 // fail records and returns the verifier's terminal error.
@@ -121,10 +129,10 @@ func (s *StreamVerifier) Close(minLen int) error {
 // RingStream verifies a ring delivered by an iterator: next returns
 // consecutive cycle vertices and false when the cycle is complete. The
 // verdict and the number of vertices consumed are returned; memory
-// stays bounded by the rank bitset regardless of ring length. It
-// agrees with Ring on every materializable cycle (the equivalence is
-// locked by tests in this package and a randomized campaign in
-// internal/core).
+// stays bounded by the rank bitset regardless of ring length. It runs
+// the same StreamVerifier as Ring, so the two agree on every
+// materializable cycle (locked against an independent reference in
+// this package's tests and by a randomized campaign in internal/core).
 func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, minLen int) (int, error) {
 	sv := NewStreamVerifier(g, fs)
 	for {
@@ -140,26 +148,29 @@ func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, min
 }
 
 // pagedBits is a bitset over [0, size) whose backing pages are
-// allocated on first touch, so sparse probes (short rings in a huge
-// S_n) stay cheap while dense ones converge to size/8 bytes.
+// allocated on first touch, so sparse probes (a splice segment, a short
+// path in a huge S_n) stay cheap while dense ones converge to size/8
+// bytes.
 type pagedBits struct {
-	pages [][]uint64
+	pages []*[pageBits / 64]uint64
 }
 
-// pageBits is the span of one page: 1<<19 bits = 64 KiB of uint64s.
-const pageBits = 1 << 19
+// pageBits is the span of one page: 1<<12 bits = 512 B of uint64s.
+// Small pages keep Path cheap on a 22-vertex splice segment, whose
+// vertices scatter over up to 22 pages; a full ring touches every page
+// either way, so its cost is one allocation per 4096 vertices.
+const pageBits = 1 << 12
 
 func newPagedBits(size int) pagedBits {
-	return pagedBits{pages: make([][]uint64, (size+pageBits-1)/pageBits)}
+	return pagedBits{pages: make([]*[pageBits / 64]uint64, (size+pageBits-1)/pageBits)}
 }
 
 // testAndSet sets bit i and reports whether it was already set.
 func (b *pagedBits) testAndSet(i int) bool {
-	p := i / pageBits
-	page := b.pages[p]
+	page := b.pages[i/pageBits]
 	if page == nil {
-		page = make([]uint64, pageBits/64)
-		b.pages[p] = page
+		page = new([pageBits / 64]uint64)
+		b.pages[i/pageBits] = page
 	}
 	off := i % pageBits
 	w, mask := off/64, uint64(1)<<(off%64)

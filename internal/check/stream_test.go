@@ -35,9 +35,10 @@ func TestRingStreamAcceptsValidCycle(t *testing.T) {
 }
 
 // TestRingStreamMatchesRing feeds the same cycles (valid and broken)
-// through both verifiers and demands identical verdicts — RingStream
-// is only trustworthy at unmaterializable scale if it provably agrees
-// wherever Ring can run.
+// through Ring, RingStream and the map-based reference and demands
+// identical verdicts — RingStream is only trustworthy at
+// unmaterializable scale if it provably agrees with an independent
+// check wherever one can run.
 func TestRingStreamMatchesRing(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
@@ -75,10 +76,11 @@ func TestRingStreamMatchesRing(t *testing.T) {
 		if c.fs != nil {
 			fs = c.fs()
 		}
-		want := Ring(g, c.cycle, fs, c.min)
+		want := refRing(g, c.cycle, fs, c.min)
+		ring := Ring(g, c.cycle, fs, c.min)
 		_, got := RingStream(g, sliceNext(c.cycle), fs, c.min)
-		if (want == nil) != (got == nil) {
-			t.Errorf("%s: Ring=%v, RingStream=%v", c.name, want, got)
+		if (want == nil) != (ring == nil) || (want == nil) != (got == nil) {
+			t.Errorf("%s: reference=%v, Ring=%v, RingStream=%v", c.name, want, ring, got)
 			continue
 		}
 		if got != nil && !errors.Is(got, ErrInvalidRing) {

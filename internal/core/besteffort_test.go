@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/perm"
 	"repro/internal/star"
+	"repro/internal/substar"
 )
 
 // TestBestEffortRelaxedDiscipline drives the over-budget ring path that
@@ -84,25 +85,54 @@ func TestBestEffortPathStrictRejects(t *testing.T) {
 	}
 }
 
-// TestEmbedPathSingleBlockChainNeverArises documents a structural
-// invariant: because the first partition position separates s from t,
-// their blocks always differ, so the single-block branch of
-// chooseChainJunctions is unreachable through EmbedPath. Exercise the
-// branch directly instead.
+// TestChainSingleBlockDirect drives the junction backtracker on a
+// one-block open chain: zero gaps, so the replay alone routes block 0
+// from s to t. EmbedPath never gets here — its first partition position
+// separates s from t, so their blocks always differ — hence the direct
+// call. A fault-free S4 block has a Hamiltonian path between endpoints
+// of opposite parity; endpoints of equal parity cannot bound a path with
+// an even vertex count.
 func TestChainSingleBlockDirect(t *testing.T) {
 	n := 5
-	fs := faults.NewSet(n)
-	// Route within one block by hand: same block means same symbols at
-	// the separating positions, which EmbedPath forbids; call the block
-	// router's single-plan path through the canonical search instead.
+	pat := substar.Whole(n).Fix(5, 5)
 	s := perm.IdentityCode(n)
-	tt := s.SwapFirst(2)
-	res, err := EmbedPath(n, fs, s, tt, Config{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		t        perm.Code
+		feasible bool
+	}{
+		{"opposite parity", s.SwapFirst(2), true},
+		{"same parity", s.SwapFirst(2).SwapFirst(3), false},
 	}
-	// Adjacent endpoints, fault-free: a Hamiltonian path.
-	if res.Len() != perm.Factorial(n) {
-		t.Fatalf("path %d", res.Len())
+	for _, c := range cases {
+		plans, err := newBlockPlans([]substar.Pattern{pat}, faults.NewSet(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[0].targets = chainTargets(false, 0, false)
+		err = chooseJunctions(plans, nil, &chainEnds{s: s, t: c.t}, nil)
+		if !c.feasible {
+			if err == nil {
+				t.Errorf("%s: routed a %d-vertex path between same-side endpoints", c.name, plans[0].length)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		p := plans[0]
+		if p.entry != s || p.exit != c.t || p.length != blockOrder {
+			t.Fatalf("%s: plan entry %s exit %s length %d", c.name, p.entry.StringN(n), p.exit.StringN(n), p.length)
+		}
+		path, _, err := assemble(plans, Config{Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check.Path(star.New(n), path, nil); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(path) != blockOrder || path[0] != s || path[len(path)-1] != c.t {
+			t.Fatalf("%s: path of %d vertices from %s to %s", c.name, len(path), path[0].StringN(n), path[len(path)-1].StringN(n))
+		}
 	}
 }

@@ -53,18 +53,21 @@ type Config struct {
 	// guarantee is unchanged; only the achieved length grows. See
 	// planUpgrades for the parity-alternation limit.
 	Opportunistic bool
-	// VerifyRepairs re-runs the full check.Ring after every successful
-	// Plan.Repair splice. By default only the spliced segment is
-	// verified (the point of the fast path); tests and paranoid callers
-	// set this to keep the one-shot self-verification discipline.
+	// VerifyRepairs re-verifies the whole ring after every successful
+	// Plan.Repair splice, through the same Plan.Cursor check an embed
+	// ends with. By default only the spliced segment is verified (the
+	// point of the fast path); tests and paranoid callers set this to
+	// keep the one-shot self-verification discipline.
 	VerifyRepairs bool
 	// Streaming keeps the embedding in skeleton form: the ring is never
 	// materialized as a []perm.Code (Result.Ring stays nil for n >= 5)
 	// and is consumed through Plan.Cursor / Plan.Ring instead, holding
-	// peak memory at O(#blocks) rather than O(n!). Self-verification
-	// switches to check.RingStream. This is what makes n >= 10 (3.6M+
-	// vertices) embeddable on bounded memory; for n <= 4 the <= 24-vertex
-	// ring is materialized regardless.
+	// peak memory at O(#blocks) rather than O(n!). Self-verification is
+	// the same in both modes: the rank-bitset verifier reads the ring
+	// through Plan.Cursor, which re-derives each block in this mode.
+	// This is what makes n >= 10 (3.6M+ vertices) embeddable on bounded
+	// memory; for n <= 4 the <= 24-vertex ring is materialized
+	// regardless.
 	Streaming bool
 	// Obs receives the run's telemetry: phase spans (core.phase.*), S4
 	// cache activity, junction backtracks and worker utilization — see

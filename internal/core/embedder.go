@@ -139,22 +139,13 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		if res.Ring != nil {
 			res.Length = len(res.Ring)
 		}
-		// The plan exists before self-verification so that streaming mode
-		// can verify through its cursor: check.RingStream re-derives every
-		// block path from the skeleton instead of touching a materialized
-		// ring (which does not exist in that mode).
+		// The plan exists before self-verification because verification
+		// reads the ring through the plan's cursor, which hides whether
+		// it is materialized or re-derived block by block from the
+		// skeleton.
 		p = newPlan(e, res, fs, sk)
-		minLen := 0
-		if res.Guaranteed {
-			minLen = res.Guarantee
-		}
 		vspan := in.span("core.phase.verify")
-		var verr error
-		if res.Ring != nil {
-			verr = check.Ring(e.g, res.Ring, fs, minLen)
-		} else {
-			_, verr = check.RingStream(e.g, p.Cursor().Next, fs, minLen)
-		}
+		verr := p.verify()
 		vspan.End()
 		if verr != nil {
 			err = fmt.Errorf("core: self-verification failed: %w", verr)
@@ -420,8 +411,8 @@ var ErrPlanBroken = errors.New("core: plan is broken (a previous rebuild failed)
 // to a path two vertices shorter and the segment is spliced in place:
 // O(24-vertex search + splice) instead of a full O(n!) re-embedding.
 // Only the spliced segment is re-verified (the junction edges and every
-// other block are untouched); set Config.VerifyRepairs to re-run the
-// full check.Ring after every successful splice.
+// other block are untouched); set Config.VerifyRepairs to re-verify the
+// whole ring after every successful splice.
 //
 // When the fast path does not apply — off-skeleton dimensions, a second
 // fault in the same block, a junction vertex, an adjacent faulty block,
@@ -619,23 +610,25 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	p.res.FaultyBlocks++
 
 	if p.e.cfg.VerifyRepairs {
-		minLen := 0
-		if p.res.Guaranteed {
-			minLen = p.res.Guarantee
-		}
-		var err error
-		if p.res.Ring != nil {
-			err = check.Ring(p.e.g, p.res.Ring, p.fs, minLen)
-		} else {
-			_, err = check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
-		}
-		if err != nil {
+		if err := p.verify(); err != nil {
 			// The splice is already applied; the rebuild fallback replaces
 			// the whole plan, so the inconsistent state cannot leak.
 			return fmt.Errorf("core: repair verification failed: %w", err)
 		}
 	}
 	return nil
+}
+
+// verify runs the independent ring check over the plan's current ring,
+// read through a fresh cursor: at least the guarantee when the fault
+// set is within budget, any healthy cycle otherwise.
+func (p *Plan) verify() error {
+	minLen := 0
+	if p.res.Guaranteed {
+		minLen = p.res.Guarantee
+	}
+	_, err := check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+	return err
 }
 
 // applySplice commits block k's replacement path to the plan's ring

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -218,5 +219,24 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestEmbedPathCountsBacktracks checks that the chain's junction search
+// reports its backtracks through core.junction.backtracks, as the ring's
+// does: over a seeded sweep of full-budget instances some candidate
+// junctions must be rejected.
+func TestEmbedPathCountsBacktracks(t *testing.T) {
+	reg := obs.NewRegistry()
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 20; trial++ {
+		fs := faults.RandomVertices(6, 3, rng)
+		s, tt := randomHealthyPair(rng, 6, fs)
+		if _, err := EmbedPath(6, fs, s, tt, Config{Obs: reg}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if got := reg.Snapshot().Counters["core.junction.backtracks"]; got == 0 {
+		t.Fatal("no chain junction backtracks recorded")
 	}
 }

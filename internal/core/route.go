@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
+	"repro/internal/substar"
 	"repro/internal/superring"
 )
 
@@ -78,69 +79,103 @@ func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg
 // vertex (which pins the global parity chain that odd-length block
 // paths require).
 func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf int) []int, exitParity []int, cfg Config, in *instr) (*routed, error) {
-	m := r4.Len()
-	plans := make([]*blockPlan, m)
-	for k := 0; k < m; k++ {
-		pat := r4.At(k)
-		b, err := pathsearch.NewBlock(pat)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal: %w", err)
-		}
-		plan := &blockPlan{block: b}
-		plan.avoidV = fs.FaultyIn(pat, nil)
-		for _, e := range fs.IntraEdgesIn(pat, nil) {
-			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
-		}
-		plan.targets = targetsFor(k, len(plan.avoidV))
-		plans[k] = plan
+	pats := r4.Vertices()
+	plans, err := newBlockPlans(pats, fs)
+	if err != nil {
+		return nil, err
 	}
-
-	// Candidate junctions per superedge: healthy endpoints, healthy
-	// crossing edges, and (in opportunistic mode) the forced exit side.
-	n := r4.N()
-	cands := make([][]junction, m)
-	for k := 0; k < m; k++ {
-		us, ws := r4.At(k).CrossEdges(r4.At(k+1), nil, nil)
-		var js []junction
-		for i := range us {
-			u, w := us[i], ws[i]
-			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) {
-				continue
-			}
-			if exitParity != nil && u.Parity(n) != exitParity[k] {
-				continue
-			}
-			js = append(js, junction{u: u, w: w})
-		}
-		if len(js) == 0 {
-			return nil, fmt.Errorf("core: superedge %d has no healthy crossing edge", k)
-		}
-		cands[k] = js
+	for k, p := range plans {
+		p.targets = targetsFor(k, len(p.avoidV))
+	}
+	var keep func(int, junction) bool
+	if exitParity != nil {
+		n := r4.N()
+		keep = func(k int, j junction) bool { return j.u.Parity(n) == exitParity[k] }
+	}
+	cands, err := healthyJunctions(pats, len(pats), fs, keep)
+	if err != nil {
+		return nil, err
 	}
 
 	jspan := in.span("core.phase.junction")
-	err := chooseJunctions(plans, cands, in)
+	err = chooseJunctions(plans, cands, nil, in)
 	jspan.End()
 	if err != nil {
 		return nil, err
 	}
-	offsets := make([]int, m+1)
+	offsets := make([]int, len(plans)+1)
 	for k, p := range plans {
 		offsets[k+1] = offsets[k] + p.length
 	}
 	return &routed{plans: plans, offsets: offsets}, nil
 }
 
-// chooseJunctions assigns one junction per superedge such that every
-// block admits a path of one of its target lengths between its entry
-// (from the previous junction) and exit (from its own junction).
-// Junction k joins block k to block k+1; block k is validated once
-// junctions k-1 and k are set, and block 0 closes the cycle when the
-// final junction is chosen.
-func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
-	m := len(plans)
-	idx := make([]int, m)
-	chosen := make([]junction, m)
+// newBlockPlans builds the routing state of every block of a ring or
+// chain: its S4 block, faulty vertices and interior faulty edges. The
+// caller sets the targets.
+func newBlockPlans(pats []substar.Pattern, fs *faults.Set) ([]*blockPlan, error) {
+	plans := make([]*blockPlan, len(pats))
+	for k, pat := range pats {
+		b, err := pathsearch.NewBlock(pat)
+		if err != nil {
+			return nil, fmt.Errorf("core: internal: %w", err)
+		}
+		plan := &blockPlan{block: b, avoidV: fs.FaultyIn(pat, nil)}
+		for _, e := range fs.IntraEdgesIn(pat, nil) {
+			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
+		}
+		plans[k] = plan
+	}
+	return plans, nil
+}
+
+// healthyJunctions lists the candidate junctions of each gap k <
+// gaps, where gap k joins pats[k] to pats[(k+1) mod len(pats)]: the
+// crossing edges whose endpoints and edge are healthy and which keep
+// accepts (nil keeps all). A ring has len(pats) gaps, a chain one
+// fewer.
+func healthyJunctions(pats []substar.Pattern, gaps int, fs *faults.Set, keep func(k int, j junction) bool) ([][]junction, error) {
+	cands := make([][]junction, gaps)
+	for k := range cands {
+		us, ws := pats[k].CrossEdges(pats[(k+1)%len(pats)], nil, nil)
+		var js []junction
+		for i := range us {
+			j := junction{u: us[i], w: ws[i]}
+			if fs.HasVertex(j.u) || fs.HasVertex(j.w) || fs.HasEdge(j.u, j.w) {
+				continue
+			}
+			if keep != nil && !keep(k, j) {
+				continue
+			}
+			js = append(js, j)
+		}
+		if len(js) == 0 {
+			return nil, fmt.Errorf("core: gap %d has no healthy crossing edge", k)
+		}
+		cands[k] = js
+	}
+	return cands, nil
+}
+
+// chainEnds are the fixed endpoints of an open chain: block 0 is
+// entered at s and the last block left at t.
+type chainEnds struct {
+	s, t perm.Code
+}
+
+// chooseJunctions assigns one junction per gap, left to right with
+// backtracking, such that every block admits a path of one of its
+// target lengths between its entry and its exit. With ends nil the
+// blocks form a closed ring of m gaps, gap k joining block k to block
+// (k+1) mod m; otherwise they form an open chain of m-1 gaps entered at
+// ends.s and left at ends.t. Block k is validated once junction k is
+// set, except a ring's block 0, whose entry is the last junction: the
+// last junction validates it (a ring) or the final block (a chain).
+// With zero gaps only the replay runs, routing block 0 from s to t.
+func chooseJunctions(plans []*blockPlan, cands [][]junction, ends *chainEnds, in *instr) error {
+	m, gaps := len(plans), len(cands)
+	idx := make([]int, gaps)
+	chosen := make([]junction, gaps)
 
 	// blockFeasible reports whether block k supports one of its target
 	// lengths between entry and exit, recording the first that works.
@@ -159,6 +194,22 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 		}
 		return false
 	}
+	entryOf := func(k int) perm.Code {
+		switch {
+		case k > 0:
+			return chosen[k-1].w
+		case ends != nil:
+			return ends.s
+		}
+		return chosen[gaps-1].w
+	}
+	exitOf := func(k int) perm.Code {
+		if k == gaps {
+			return ends.t // only a chain's last block lies past its gaps
+		}
+		return chosen[k].u
+	}
+	closing := gaps % m // block 0 of a ring, block m-1 of a chain
 
 	// The step bound guards against pathological backtracking; it must
 	// scale with the block count or the bound itself becomes the limit —
@@ -169,7 +220,7 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 	}
 	steps := 0
 	k := 0
-	for k < m {
+	for k < gaps {
 		if steps++; steps > maxSteps {
 			return fmt.Errorf("core: junction search exceeded %d steps (blocks=%d)", maxSteps, m)
 		}
@@ -177,19 +228,16 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 			idx[k] = 0
 			k--
 			if k < 0 {
-				return fmt.Errorf("core: no junction assignment routes the ring")
+				return fmt.Errorf("core: no junction assignment routes the blocks")
 			}
 			idx[k]++
 			in.junctionBacktrack()
 			continue
 		}
 		chosen[k] = cands[k][idx[k]]
-		ok := true
-		if k >= 1 && !blockFeasible(k, chosen[k-1].w, chosen[k].u) {
-			ok = false
-		}
-		if ok && k == m-1 && !blockFeasible(0, chosen[m-1].w, chosen[0].u) {
-			ok = false
+		ok := (k == 0 && ends == nil) || blockFeasible(k, entryOf(k), chosen[k].u)
+		if ok && k == gaps-1 {
+			ok = blockFeasible(closing, entryOf(closing), exitOf(closing))
 		}
 		if !ok {
 			idx[k]++
@@ -199,13 +247,12 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 		k++
 	}
 
-	// Feasibility calls above recorded entry/exit for blocks 1..m-1 and
-	// finally block 0; but intermediate backtracking may have left stale
-	// state, so re-record the final assignment.
+	// The feasibility calls above recorded entry/exit per block, but
+	// backtracking may have left stale state, so re-record the final
+	// assignment.
 	for k := 0; k < m; k++ {
-		prev := (k - 1 + m) % m
-		if !blockFeasible(k, chosen[prev].w, chosen[k].u) {
-			return fmt.Errorf("core: internal: block %d lost feasibility on replay", k)
+		if !blockFeasible(k, entryOf(k), exitOf(k)) {
+			return fmt.Errorf("core: block %d has no target-length path between its junctions", k)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/superring"
 )
@@ -17,47 +16,23 @@ import (
 // a faulty block whose fault lies on the other side, which then sheds
 // only its fault).
 func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
-	m := chain.Len()
+	pats := chain.Vertices()
+	m := len(pats)
 	n := chain.N()
-	plans := make([]*blockPlan, m)
-	for k := 0; k < m; k++ {
-		pat := chain.At(k)
-		b, err := pathsearch.NewBlock(pat)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal: %w", err)
-		}
-		plan := &blockPlan{block: b}
-		plan.avoidV = fs.FaultyIn(pat, nil)
-		for _, e := range fs.IntraEdgesIn(pat, nil) {
-			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
-		}
-		plans[k] = plan
+	plans, err := newBlockPlans(pats, fs)
+	if err != nil {
+		return nil, err
 	}
 	if !plans[0].block.Contains(s) || !plans[m-1].block.Contains(t) {
 		return nil, fmt.Errorf("core: internal: chain anchors misplaced")
 	}
-
-	cands := make([][]junction, m-1)
-	for k := 0; k+1 < m; k++ {
-		us, ws := chain.At(k).CrossEdges(chain.At(k+1), nil, nil)
-		var js []junction
-		for i := range us {
-			u, w := us[i], ws[i]
-			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) {
-				continue
-			}
-			if k == 0 && u == s {
-				continue // the source cannot double as the exit
-			}
-			if k+1 == m-1 && w == t {
-				continue
-			}
-			js = append(js, junction{u: u, w: w})
-		}
-		if len(js) == 0 {
-			return nil, fmt.Errorf("core: chain gap %d has no healthy crossing edge", k)
-		}
-		cands[k] = js
+	// The source cannot double as the first exit, nor the target as the
+	// last entry.
+	cands, err := healthyJunctions(pats, m-1, fs, func(k int, j junction) bool {
+		return !(k == 0 && j.u == s) && !(k == m-2 && j.w == t)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	needOdd := s.Parity(n) == t.Parity(n)
@@ -66,7 +41,7 @@ func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Conf
 		for k, p := range plans {
 			p.targets = chainTargets(k == odd, len(p.avoidV), cfg.BestEffort)
 		}
-		if err := chooseChainJunctions(plans, cands, s, t); err == nil {
+		if err := chooseJunctions(plans, cands, &chainEnds{s: s, t: t}, in); err == nil {
 			path, _, err := assemble(plans, cfg, in)
 			return path, err
 		}
@@ -126,87 +101,4 @@ func chainTargets(odd bool, vf int, bestEffort bool) []int {
 		ts = append(ts, t)
 	}
 	return ts
-}
-
-// chooseChainJunctions assigns the m-1 junctions left to right with
-// backtracking; block k is validated once junction k is fixed, and the
-// final block when the last junction lands.
-func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code) error {
-	m := len(plans)
-	if m == 1 {
-		p := plans[0]
-		for _, target := range p.targets {
-			if _, ok := p.block.Path(pathsearch.PathSpec{
-				From: s, To: t, AvoidV: p.avoidV, AvoidE: p.avoidE, Target: target,
-			}); ok {
-				p.entry, p.exit, p.length = s, t, target
-				return nil
-			}
-		}
-		return fmt.Errorf("core: single-block chain unroutable")
-	}
-
-	idx := make([]int, m-1)
-	chosen := make([]junction, m-1)
-
-	blockFeasible := func(k int, entry, exit perm.Code) bool {
-		p := plans[k]
-		for _, target := range p.targets {
-			if _, ok := p.block.Path(pathsearch.PathSpec{
-				From: entry, To: exit, AvoidV: p.avoidV, AvoidE: p.avoidE, Target: target,
-			}); ok {
-				p.entry, p.exit, p.length = entry, exit, target
-				return true
-			}
-		}
-		return false
-	}
-
-	entryOf := func(k int) perm.Code {
-		if k == 0 {
-			return s
-		}
-		return chosen[k-1].w
-	}
-
-	const maxSteps = 1 << 21
-	steps := 0
-	k := 0
-	for k < m-1 {
-		if steps++; steps > maxSteps {
-			return fmt.Errorf("core: chain junction search exceeded %d steps", maxSteps)
-		}
-		if idx[k] >= len(cands[k]) {
-			idx[k] = 0
-			k--
-			if k < 0 {
-				return fmt.Errorf("core: no junction assignment routes the chain")
-			}
-			idx[k]++
-			continue
-		}
-		chosen[k] = cands[k][idx[k]]
-		ok := blockFeasible(k, entryOf(k), chosen[k].u)
-		if ok && k == m-2 && !blockFeasible(m-1, chosen[m-2].w, t) {
-			ok = false
-		}
-		if !ok {
-			idx[k]++
-			continue
-		}
-		k++
-	}
-
-	// Replay to pin every block's final entry/exit/length (backtracking
-	// may have left stale recordings).
-	for k := 0; k < m; k++ {
-		exit := t
-		if k < m-1 {
-			exit = chosen[k].u
-		}
-		if !blockFeasible(k, entryOf(k), exit) {
-			return fmt.Errorf("core: internal: chain block %d lost feasibility on replay", k)
-		}
-	}
-	return nil
 }

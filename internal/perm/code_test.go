@@ -96,6 +96,16 @@ func TestCodeRankMatchesPerm(t *testing.T) {
 			}
 		}
 	}
+	// Beyond exhaustive reach, sample up to MaxN.
+	rng := rand.New(rand.NewSource(12))
+	for n := 7; n <= MaxN; n++ {
+		for trial := 0; trial < 200; trial++ {
+			p := randomPerm(rng, n)
+			if got, want := Pack(p).Rank(n), p.Rank(); got != want {
+				t.Fatalf("Code.Rank(%s) = %d, want %d", p, got, want)
+			}
+		}
+	}
 }
 
 func TestCodePositionOf(t *testing.T) {

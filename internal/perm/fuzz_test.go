@@ -45,6 +45,9 @@ func FuzzCodeOps(f *testing.F) {
 		if !p.Valid() {
 			t.Fatalf("Valid code %x unpacked to invalid %v", raw, p)
 		}
+		if got, want := c.Rank(n), p.Rank(); got != want {
+			t.Fatalf("Code.Rank(%x, %d) = %d, Perm.Rank = %d", raw, n, got, want)
+		}
 		if n >= 2 {
 			dim := int(dimRaw)%(n-1) + 2
 			d := c.SwapFirst(dim)

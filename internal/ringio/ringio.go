@@ -10,8 +10,9 @@
 //     notation, for human inspection and interoperability.
 //
 // Loading re-validates structure: dimensions, vertex validity and the
-// declared length must match. Adjacency re-verification is the caller's
-// job (internal/check.Ring), since it needs the fault set.
+// declared length must match. Adjacency, distinctness and fault
+// re-verification is the caller's job (internal/check, whose Ring and
+// RingStream run the same verifier), since it needs the fault set.
 package ringio
 
 import (
@@ -24,6 +25,11 @@ import (
 
 	"repro/internal/perm"
 )
+
+// maxPrealloc caps the ring capacity reserved from a header's declared
+// length: the header is untrusted input, and n! at n = 14 would reserve
+// 700 GB before the first entry is read. Longer rings grow by append.
+const maxPrealloc = 1 << 16
 
 // magic identifies the binary format ("SRG1" = star ring v1).
 var magic = [4]byte{'S', 'R', 'G', '1'}
@@ -83,7 +89,7 @@ func ReadBinary(r io.Reader) (n int, ring []perm.Code, err error) {
 	if length > total {
 		return 0, nil, fmt.Errorf("%w: length %d exceeds n! = %d", ErrFormat, length, total)
 	}
-	ring = make([]perm.Code, 0, length)
+	ring = make([]perm.Code, 0, min(length, maxPrealloc))
 	for i := uint64(0); i < length; i++ {
 		rank, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -132,7 +138,7 @@ func ReadText(r io.Reader) (n int, ring []perm.Code, err error) {
 	if n < 1 || n > perm.MaxN || length < 0 || length > perm.Factorial(n) {
 		return 0, nil, fmt.Errorf("%w: implausible header", ErrFormat)
 	}
-	ring = make([]perm.Code, 0, length)
+	ring = make([]perm.Code, 0, min(length, maxPrealloc))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

@@ -113,6 +113,9 @@ func TestTextRejections(t *testing.T) {
 		"wrong dimension": "ring n=4 len=1\n12345\n",
 		"bad vertex":      "ring n=4 len=1\nzzzz\n",
 		"huge length":     "ring n=4 len=99\n",
+		// Within n! but far beyond the input: must fail on the missing
+		// entries, not by reserving the declared 700 GB up front.
+		"truncated n=14": "ring n=14 len=87178291199\n",
 	} {
 		if _, _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)

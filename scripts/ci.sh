@@ -438,6 +438,7 @@ fuzz_smoke() {
 
 leg "fuzz perm/FuzzParse" fuzz_smoke ./internal/perm FuzzParse || exit 1
 leg "fuzz perm/FuzzCodeOps" fuzz_smoke ./internal/perm FuzzCodeOps || exit 1
+leg "fuzz check/FuzzVerifyRing" fuzz_smoke ./internal/check FuzzVerifyRing || exit 1
 leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || exit 1
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
 leg "fuzz ringio/FuzzReadText" fuzz_smoke ./internal/ringio FuzzReadText || exit 1

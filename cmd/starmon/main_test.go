@@ -70,9 +70,9 @@ func TestRunCheckTrace(t *testing.T) {
 	reg.SetClock(clock)
 	rec := obs.NewRecorder(8)
 	reg.SetSink(rec)
-	sp := reg.Span("t.phase.total")
+	op := reg.StartOp("t.phase.total")
 	clock.Advance(time.Millisecond)
-	sp.End()
+	op.Done()
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := export.WriteTraceFile(path, rec.Events()); err != nil {

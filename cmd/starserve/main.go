@@ -158,6 +158,28 @@ func (t *telemetry) close() error {
 	return nil
 }
 
+// Server timeouts. A client that trickles its request header
+// (slowloris) or body is cut off instead of pinning a connection, and
+// idle keep-alive connections are reaped. There is deliberately no
+// write timeout: /ring streams the whole ring, which takes seconds at
+// large n.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the service's HTTP server with the timeouts
+// above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe boots the service and blocks until SIGINT/SIGTERM (or -dur
 // elapses), then shuts down gracefully.
 func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.Duration, eventsOut, flightDump string) int {
@@ -183,7 +205,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 	// Serve immediately — /readyz says 503 until the warm-up below
 	// finishes, which is exactly what a balancer should see.
 	fmt.Fprintf(stdout, "starserve listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -263,7 +285,7 @@ func runLoad(stdout, stderr io.Writer, cfg serve.Config, o loadOpts) int {
 			fmt.Fprintln(stderr, "starserve:", err)
 			return 1
 		}
-		srv := &http.Server{Handler: s.Handler()}
+		srv := newHTTPServer(s.Handler())
 		go srv.Serve(ln)
 		defer srv.Close()
 		if err := s.Warm(); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -158,5 +160,36 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if code := run([]string{"-load", "-load-n", "99"}, &out, &errOut); code != 1 {
 		t.Errorf("bad load dimension: exit %d, want 1", code)
+	}
+}
+
+// TestSlowHeaderDisconnected opens a connection that sends only part of
+// a request header and never finishes it: the server must hang up once
+// readHeaderTimeout passes instead of holding the connection open.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a partial header", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("disconnected after %v, before the header timeout %v", waited, readHeaderTimeout)
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // MetricName flags metric-name arguments to obs.Registry's Counter,
-// Gauge, Histogram and Span methods that break the repository's naming
+// Gauge, Histogram, StartOp and StartOpTrace methods (and the labeled
+// family constructors) that break the repository's naming
 // convention: a lowercase dotted path of at least two segments,
 // "pkg.group.name" (segments are [a-z][a-z0-9_]*). The README's
 // Observability glossary, the OpenMetrics exporter and the expvar
@@ -46,12 +47,14 @@ var metricPrefixRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 var labelKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // metricMethods are the obs.Registry methods whose first argument is a
-// metric name.
+// metric name. StartOp and StartOpTrace name an operation's root span,
+// which records into the histogram of the same name.
 var metricMethods = map[string]bool{
 	"Counter":      true,
 	"Gauge":        true,
 	"Histogram":    true,
-	"Span":         true,
+	"StartOp":      true,
+	"StartOpTrace": true,
 	"CounterVec":   true,
 	"GaugeVec":     true,
 	"HistogramVec": true,

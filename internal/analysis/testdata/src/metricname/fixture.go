@@ -15,7 +15,7 @@ func Instrument(reg *obs.Registry, outcome string) {
 	reg.Counter("BadName")                  // uppercase, undotted
 	reg.Gauge("single")                     // one segment only
 	reg.Histogram("fixture..latency")       // empty middle segment
-	reg.Span("Fixture.Phase.Total")         // uppercase segments
+	reg.StartOp("Fixture.Phase.Total")      // uppercase segments
 	reg.Counter("fixture.repair" + outcome) // prefix misses the trailing dot
 	reg.Gauge("fixture.ring.length")        // duplicates the ringLength constant
 
@@ -24,7 +24,7 @@ func Instrument(reg *obs.Registry, outcome string) {
 	reg.Counter(repairPrefix + outcome) // clean: dotted prefix constant
 	reg.Histogram("sim." + outcome)     // clean: single-segment prefix still dotted
 	//starlint:ignore metricname fixture demonstrates a reasoned suppression
-	reg.Span("LegacyPhase")
+	reg.StartOp("LegacyPhase")
 }
 
 // Indirect goes through a plain variable; compile-time-opaque names are

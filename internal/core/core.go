@@ -167,7 +167,7 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 	res.Positions = positions
 
 	bspan := in.span("core.phase.build_r4")
-	r4, err := buildR4(n, positions, fs, cfg)
+	r4, err := buildR4(n, positions, fs, cfg, bspan)
 	bspan.End()
 	if err != nil {
 		return nil, err
@@ -255,8 +255,9 @@ func weightOf(fs *faults.Set) func(substar.Pattern) int {
 }
 
 // buildR4 realizes Lemma 3 (and the n = 5 base case of Theorem 1's
-// proof): an R4 whose supervertices satisfy (P1), (P2) and (P3).
-func buildR4(n int, positions []int, fs *faults.Set, cfg Config) (*superring.Ring, error) {
+// proof): an R4 whose supervertices satisfy (P1), (P2) and (P3). The
+// super-ring phases are spanned under parent.
+func buildR4(n int, positions []int, fs *faults.Set, cfg Config, parent obs.Span) (*superring.Ring, error) {
 	spec := BuildSpec{
 		Positions:      append([]int(nil), positions...),
 		SpreadFaults:   true,
@@ -264,7 +265,7 @@ func buildR4(n int, positions []int, fs *faults.Set, cfg Config) (*superring.Rin
 		VerifyP1:       !cfg.BestEffort,
 		VerifyP2:       !cfg.BestEffort,
 		VerifyP3:       !cfg.BestEffort,
-		Obs:            cfg.Obs,
+		Obs:            parent,
 	}
 	r4, err := BuildR4(n, fs, spec)
 	if err != nil && cfg.BestEffort {
@@ -298,9 +299,11 @@ type BuildSpec struct {
 	HealthyBorders bool
 	// VerifyP1/P2/P3 assert the corresponding property on the result.
 	VerifyP1, VerifyP2, VerifyP3 bool
-	// Obs receives the refinement telemetry (superring.phase.*,
-	// superring.junction.backtracks); nil disables it.
-	Obs *obs.Registry
+	// Obs is the caller's span: the refinement phases
+	// (superring.phase.*) become its children and
+	// superring.junction.backtracks counts in its registry. The zero
+	// Span disables telemetry.
+	Obs obs.Span
 }
 
 // BuildR4 partitions S_n along spec.Positions and threads the

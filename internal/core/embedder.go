@@ -91,12 +91,11 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		}
 		fs = fs.Clone()
 	}
-	in := newInstr(e.cfg.Obs, n)
 	owned := op == nil
 	if owned {
 		op = e.cfg.Obs.StartOp("core.op.embed")
 	}
-	in.bind(op)
+	in := newInstr(e.cfg.Obs, n, op)
 
 	nv, ne := fs.NumVertices(), fs.NumEdges()
 	withinBudget := nv+ne <= faults.MaxTolerated(n)
@@ -145,7 +144,7 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		// skeleton.
 		p = newPlan(e, res, fs, sk)
 		vspan := in.span("core.phase.verify")
-		verr := p.verify()
+		verr := p.verify(vspan)
 		vspan.End()
 		if verr != nil {
 			err = fmt.Errorf("core: self-verification failed: %w", verr)
@@ -441,12 +440,11 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 		return rep, nil
 	}
 
-	in := newInstr(p.e.cfg.Obs, p.e.n)
 	owned := op == nil
 	if owned {
 		op = p.e.cfg.Obs.StartOp("core.op.repair")
 	}
-	in.bind(op)
+	in := newInstr(p.e.cfg.Obs, p.e.n, op)
 	defer in.finish()
 
 	n := p.e.n
@@ -479,7 +477,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	if k, ok := p.spliceTarget(v); ok {
 		span := in.span("core.phase.repair_splice")
 		var err error
-		prof.Do("splice", func() { err = p.splice(k, v) })
+		prof.Do("splice", func() { err = p.splice(k, v, span) })
 		span.End()
 		if err == nil {
 			in.repair("splices")
@@ -589,7 +587,7 @@ func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 // splices the segment into the ring in place. Only the new segment is
 // verified: the junction edges are untouched (same healthy endpoints,
 // and Repair adds no edge faults) and every other segment is unchanged.
-func (p *Plan) splice(k int, v perm.Code) error {
+func (p *Plan) splice(k int, v perm.Code, span obs.Span) error {
 	pb := p.blocks[k]
 	target := pb.length - 2
 	path, ok := pb.block.Path(pathsearch.PathSpec{
@@ -610,7 +608,7 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	p.res.FaultyBlocks++
 
 	if p.e.cfg.VerifyRepairs {
-		if err := p.verify(); err != nil {
+		if err := p.verify(span); err != nil {
 			// The splice is already applied; the rebuild fallback replaces
 			// the whole plan, so the inconsistent state cannot leak.
 			return fmt.Errorf("core: repair verification failed: %w", err)
@@ -620,14 +618,15 @@ func (p *Plan) splice(k int, v perm.Code) error {
 }
 
 // verify runs the independent ring check over the plan's current ring,
-// read through a fresh cursor: at least the guarantee when the fault
-// set is within budget, any healthy cycle otherwise.
-func (p *Plan) verify() error {
+// read through a fresh cursor spanned under parent: at least the
+// guarantee when the fault set is within budget, any healthy cycle
+// otherwise.
+func (p *Plan) verify(parent obs.Span) error {
 	minLen := 0
 	if p.res.Guaranteed {
 		minLen = p.res.Guarantee
 	}
-	_, err := check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+	_, err := check.RingStream(p.e.g, p.cursor(parent).Next, p.fs, minLen)
 	return err
 }
 

@@ -16,7 +16,7 @@ import (
 // TestObsDisabledAllocs and BenchmarkObsDisabled).
 type instr struct {
 	reg *obs.Registry
-	op  *obs.Op // the run's operation context; set by bind, never nil there
+	op  *obs.Op // the run's operation context; every phase span is its child
 
 	backtracks *obs.Counter
 	blocks     *obs.Counter
@@ -34,14 +34,17 @@ type instr struct {
 	hits0, misses0, bypasses0 int64
 }
 
-// newInstr resolves the registry's core metrics for one run on S_n;
-// nil in, nil out.
-func newInstr(r *obs.Registry, n int) *instr {
+// newInstr resolves the registry's core metrics for one run on S_n
+// under the operation op; nil registry in, nil out. Every phase span
+// opened through in.span is a child of op's root, and event-log records
+// carry its trace id.
+func newInstr(r *obs.Registry, n int, op *obs.Op) *instr {
 	if r == nil {
 		return nil
 	}
 	in := &instr{
 		reg:        r,
+		op:         op,
 		backtracks: r.Counter("core.junction.backtracks"),
 		blocks:     r.Counter("core.route.blocks"),
 		workerBusy: r.Histogram("core.route.worker_busy"),
@@ -60,26 +63,13 @@ func newInstr(r *obs.Registry, n int) *instr {
 	return in
 }
 
-// bind attaches the run's operation context. Every phase span opened
-// through in.span afterwards is a child of the operation's root, and
-// event-log records carry its trace id.
-func (in *instr) bind(op *obs.Op) {
-	if in == nil {
-		return
-	}
-	in.op = op
-}
-
-// span opens a phase span ("core.phase.*") under the bound operation;
+// span opens a phase span ("core.phase.*") under the run's operation;
 // zero Span when disabled.
 func (in *instr) span(name string) obs.Span {
 	if in == nil {
 		return obs.Span{}
 	}
-	if in.op != nil {
-		return in.op.Span(name)
-	}
-	return in.reg.Span(name)
+	return in.op.Span(name)
 }
 
 // fail ends a failed operation. Owned ops (created by this layer) end

@@ -171,7 +171,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 // BenchmarkObsEnabled is the same hook sequence against a live
 // registry, for comparison.
 func BenchmarkObsEnabled(b *testing.B) {
-	in := newInstr(obs.NewRegistry(), 6)
+	in := newInstr(obs.NewRegistry(), 6, nil)
 	var busy int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

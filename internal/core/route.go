@@ -62,9 +62,12 @@ func (rt *routed) ringLen() int { return rt.offsets[len(rt.offsets)-1] }
 // targetsFor maps a block's vertex-fault count to the acceptable path
 // lengths, best first. RouteR4 is exported for internal/baseline, which
 // routes its own R4 variants through the same engine; library users
-// should call Embed.
+// should call Embed. With cfg.Obs set the call is its own core.op.route
+// operation, the parent of its junction and route phase spans.
 func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg Config) ([]perm.Code, error) {
-	in := newInstr(cfg.Obs, fs.N())
+	op := cfg.Obs.StartOp("core.op.route")
+	defer op.Done()
+	in := newInstr(cfg.Obs, fs.N(), op)
 	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, cfg, in)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,8 @@ import (
 // target, and — when s and t share a partite set — exactly one block is
 // routed with an odd vertex count to fix the global parity (preferring
 // a faulty block whose fault lies on the other side, which then sheds
-// only its fault).
+// only its fault). Like RouteR4 it runs as a core.op.route operation
+// when cfg.Obs is set.
 func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
 	pats := chain.Vertices()
 	m := len(pats)
@@ -36,7 +37,9 @@ func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Conf
 	}
 
 	needOdd := s.Parity(n) == t.Parity(n)
-	in := newInstr(cfg.Obs, n)
+	op := cfg.Obs.StartOp("core.op.route")
+	defer op.Done()
+	in := newInstr(cfg.Obs, n, op)
 	for _, odd := range oddBlockCandidates(plans, n, s, needOdd) {
 		for k, p := range plans {
 			p.targets = chainTargets(k == odd, len(p.avoidV), cfg.BestEffort)

@@ -41,15 +41,26 @@ type RingCursor struct {
 
 	err  error
 	done bool
-	span obs.Span
+	span obs.Span // core.phase.stream_emit as a child of the opener's span,
+	op   *obs.Op  // or, for a public Cursor, as its own operation
 }
 
 // Cursor opens a ring iterator positioned at the start of the cycle
-// (the first vertex of block 0's segment, which equals Ring()[0]). The
-// traversal is spanned as core.phase.stream_emit from open to
-// exhaustion when the embedder's registry is attached.
+// (the first vertex of block 0's segment, which equals Ring()[0]). When
+// the embedder's registry is attached the traversal is its own
+// operation, whose root span core.phase.stream_emit runs from open to
+// exhaustion.
 func (p *Plan) Cursor() *RingCursor {
-	c := &RingCursor{p: p, gen: p.gen, span: newInstr(p.e.cfg.Obs, p.e.n).span("core.phase.stream_emit")}
+	c := p.cursor(obs.Span{})
+	c.op = p.e.cfg.Obs.StartOp("core.phase.stream_emit")
+	return c
+}
+
+// cursor opens a ring iterator whose traversal is spanned as a
+// core.phase.stream_emit child of parent (not at all for the zero
+// Span).
+func (p *Plan) cursor(parent obs.Span) *RingCursor {
+	c := &RingCursor{p: p, gen: p.gen, span: parent.Span("core.phase.stream_emit")}
 	if p.res.Ring != nil {
 		c.seg = p.res.Ring
 	} else {
@@ -128,6 +139,7 @@ func (c *RingCursor) finish() {
 	if !c.done {
 		c.done = true
 		c.span.End()
+		c.op.Done()
 	}
 }
 

@@ -188,7 +188,7 @@ type SweepConfig struct {
 	// A1); nil means obs.Wall. Tests inject an obs.Manual clock to pin
 	// timing columns.
 	Clock obs.Clock
-	// Obs receives sweep telemetry: one harness.exp.<ID> span per
+	// Obs receives sweep telemetry: one harness.exp.<ID> operation per
 	// experiment, plus whatever the embedder records when the experiment
 	// threads the registry through (F2 does). nil disables it.
 	Obs *obs.Registry
@@ -252,8 +252,8 @@ func All() []Experiment {
 }
 
 // Collect runs the named experiment (or all of them for "all") and
-// returns the tables, timing each experiment under a harness.exp.<ID>
-// span when cfg.Obs is set.
+// returns the tables, timing each experiment as a harness.exp.<ID>
+// operation when cfg.Obs is set.
 func Collect(id string, cfg SweepConfig) ([]*Table, error) {
 	cfg = cfg.Defaults()
 	var out []*Table
@@ -263,9 +263,9 @@ func Collect(id string, cfg SweepConfig) ([]*Table, error) {
 			continue
 		}
 		matched = true
-		span := cfg.Obs.Span("harness.exp." + e.ID)
+		op := cfg.Obs.StartOp("harness.exp." + e.ID)
 		tables, err := e.Run(cfg)
-		span.End()
+		op.Done()
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}

@@ -43,18 +43,20 @@ func BenchmarkHistogramEnabled(b *testing.B) {
 }
 
 func BenchmarkSpanDisabled(b *testing.B) {
-	var r *Registry
+	var op *Op
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Span("phase").End()
+		op.Span("phase").End()
 	}
 }
 
+// BenchmarkSpanEnabled prices a whole operation: a fresh trace and its
+// root span, opened and ended.
 func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRegistry()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Span("phase").End()
+		r.StartOp("phase").Done()
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// spanEvents records two real spans through a registry on a manual
-// clock, giving deterministic starts and durations.
+// spanEvents records two real spans — an operation's root and its
+// child — through a registry on a manual clock, giving deterministic
+// starts and durations.
 func spanEvents(t *testing.T) []obs.Event {
 	t.Helper()
 	clock := obs.NewManual(time.Unix(100, 0))
@@ -21,12 +22,12 @@ func spanEvents(t *testing.T) []obs.Event {
 	rec := obs.NewRecorder(16)
 	reg.SetSink(rec)
 
-	outer := reg.Span("t.phase.total")
+	outer := reg.StartOp("t.phase.total")
 	clock.Advance(3 * time.Millisecond)
-	inner := reg.Span("t.phase.route")
+	inner := outer.Span("t.phase.route")
 	clock.Advance(2 * time.Millisecond)
 	inner.End()
-	outer.End()
+	outer.Done()
 	return rec.Events()
 }
 
@@ -131,12 +132,12 @@ func TestWriteTraceCausality(t *testing.T) {
 	child.End()
 	clock.Advance(time.Millisecond)
 	op.Done()
-	plain := reg.Span("t.phase.plain")
-	clock.Advance(time.Millisecond)
-	plain.End()
+	// A registry emits only traced spans; a zero-trace event still
+	// arrives from outside input (older trace files, flight bundles).
+	plain := obs.Event{Name: "t.phase.plain", StartNS: clock.Now().UnixNano(), DurNS: int64(time.Millisecond)}
 
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, rec.Events()); err != nil {
+	if err := WriteTrace(&buf, append(rec.Events(), plain)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateTrace(buf.Bytes()); err != nil {

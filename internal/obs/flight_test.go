@@ -36,9 +36,9 @@ func TestFlightRingsOverwriteOldest(t *testing.T) {
 
 	for i := 0; i < 6; i++ {
 		reg.EventLog().Log(LevelInfo, "t.event", F("i", i))
-		sp := reg.Span("t.phase.step")
+		op := reg.StartOp("t.phase.step")
 		clock.Advance(time.Millisecond)
-		sp.End()
+		op.Done()
 	}
 
 	events := f.Events()

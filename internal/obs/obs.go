@@ -1,14 +1,21 @@
 // Package obs is the repository's zero-dependency observability layer:
 // atomic counters and gauges, log-bucketed timing histograms with
-// p50/p95/max, span-style phase tracing with a pluggable event sink,
-// and an injectable clock. It exists so the embedding pipeline — an
-// O(n!) construction whose junction backtracks, S4 cache behavior and
+// p50/p95/max, traced phase spans with a pluggable event sink, and an
+// injectable clock. It exists so the embedding pipeline — an O(n!)
+// construction whose junction backtracks, S4 cache behavior and
 // worker-pool utilization are otherwise invisible — can be measured
 // without perturbing it.
 //
-// Every API is nil-safe: methods on a nil *Registry, *Counter, *Gauge
-// or *Histogram, and End on a zero Span, are no-ops costing a pointer
-// test and a return. Instrumented hot paths therefore carry no
+// Each job has one mechanism. Metrics live in one store: a Registry
+// indexes metric families by kind and name, and a plain Counter, Gauge
+// or Histogram is the zero-key slot of a family, beside the labeled
+// slots of CounterVec, GaugeVec and HistogramVec. Spans come in one
+// kind: every span belongs to an Op (Registry.StartOp), so every span
+// event carries a trace id.
+//
+// Every API is nil-safe: methods on a nil *Registry, *Op, *Counter,
+// *Gauge or *Histogram, and End on a zero Span, are no-ops costing a
+// pointer test and a return. Instrumented hot paths therefore carry no
 // configuration branches of their own; they call through unconditionally
 // and pay a few nanoseconds when observation is disabled (verified by
 // BenchmarkObsDisabled in internal/core and the benchmarks here).
@@ -89,19 +96,13 @@ func (g *Gauge) Value() int64 {
 // switches a whole subsystem's instrumentation on or off.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	cvecs    map[string]*CounterVec
-	gvecs    map[string]*GaugeVec
-	hvecs    map[string]*HistogramVec
-	fams     []*family // every family, in creation order (append-only)
+	index    map[famKey]*family // every metric family, plain ones included
+	fams     []*family          // the same families, in creation order (append-only)
 	children map[string]*Registry
-	kidList  []*Registry       // every child, in creation order (append-only)
-	encCache map[string]string // plain-metric name → EncodeName(name, labels)
-	labels   Labels            // full label set: ancestors' labels merged with own
-	own      Labels            // labels added relative to the parent registry
-	maxCard  int               // per-family label cardinality cap (0 = default)
+	kidList  []*Registry // every child, in creation order (append-only)
+	labels   Labels      // full label set: ancestors' labels merged with own
+	own      Labels      // labels added relative to the parent registry
+	maxCard  int         // per-family label cardinality cap (0 = default)
 	clock    Clock
 	sink     Sink
 	events   *EventLog
@@ -189,10 +190,13 @@ func labelFields(ls Labels) []Field {
 	return fs
 }
 
-// childrenLocked returns the append-only child list (the slice header
-// is safe to iterate after the lock drops); callers hold r.mu.
-func (r *Registry) childrenLocked() []*Registry {
-	return r.kidList
+// tree returns the registry's families and children. Both lists are
+// append-only, so the slice headers are safe to iterate after the lock
+// drops.
+func (r *Registry) tree() ([]*family, []*Registry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fams, r.kidList
 }
 
 // SetClock replaces the registry's time source (nil restores Wall) and
@@ -207,7 +211,7 @@ func (r *Registry) SetClock(c Clock) {
 	}
 	r.mu.Lock()
 	r.clock = c
-	kids := r.childrenLocked()
+	kids := r.kidList
 	r.mu.Unlock()
 	for _, k := range kids {
 		k.SetClock(c)
@@ -237,7 +241,7 @@ func (r *Registry) SetSink(s Sink) {
 	}
 	r.mu.Lock()
 	r.sink = s
-	kids := r.childrenLocked()
+	kids := r.kidList
 	r.mu.Unlock()
 	for _, k := range kids {
 		k.SetSink(s)
@@ -255,7 +259,7 @@ func (r *Registry) SetEventLog(l *EventLog) {
 	r.mu.Lock()
 	r.events = l
 	fl := r.flight
-	kids := r.childrenLocked()
+	kids := r.kidList
 	r.mu.Unlock()
 	if fl != nil {
 		l.setFlight(fl)
@@ -275,7 +279,7 @@ func (r *Registry) SetFlight(f *FlightRecorder) {
 	r.mu.Lock()
 	r.flight = f
 	l := r.events
-	kids := r.childrenLocked()
+	kids := r.kidList
 	r.mu.Unlock()
 	l.setFlight(f)
 	for _, k := range kids {
@@ -305,147 +309,59 @@ func (r *Registry) EventLog() *EventLog {
 	return r.events
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use. It is
+// the zero-key slot of the name's counter family, so a name declared
+// with label keys (CounterVec) records a schema error and yields nil.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
+	if s := r.family(counterKind, name, nil).resolve(nil); s != nil {
+		return s.c
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		if r.counters == nil {
-			r.counters = make(map[string]*Counter)
-		}
-		r.counters[name] = c
-	}
-	return c
+	return nil
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use; see Counter.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
+	if s := r.family(gaugeKind, name, nil).resolve(nil); s != nil {
+		return s.g
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		if r.gauges == nil {
-			r.gauges = make(map[string]*Gauge)
-		}
-		r.gauges[name] = g
-	}
-	return g
+	return nil
 }
 
-// Histogram returns the named histogram, creating it on first use.
+// Histogram returns the named histogram, creating it on first use; see
+// Counter.
 func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
+	if s := r.family(histogramKind, name, nil).resolve(nil); s != nil {
+		return s.h
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		if r.hists == nil {
-			r.hists = make(map[string]*Histogram)
-		}
-		r.hists[name] = h
-	}
-	return h
+	return nil
 }
 
 // Visitor receives one callback per live metric from Registry.Visit.
-// Implementations read the metric through its atomic accessors; they
-// must not call back into the registry (Visit holds its lock while
-// walking plain metrics). Labeled metrics — family slots and anything
-// under a child registry — arrive with the label set encoded into the
-// name, name{k="v",...} (see EncodeName); visitors that also implement
-// LabelVisitor receive the parts split instead.
+// Implementations read the metric through its atomic accessors. Every
+// metric arrives under its full identity: the plain name for an
+// unlabeled metric in an unlabeled registry, otherwise the label set
+// encoded into the name, name{k="v",...} (see EncodeName).
 type Visitor interface {
 	VisitCounter(name string, c *Counter)
 	VisitGauge(name string, g *Gauge)
 	VisitHistogram(name string, h *Histogram)
 }
 
-// LabelVisitor is the label-aware extension of Visitor: when a visitor
-// implements it, Visit routes every metric — plain or labeled —
-// through the VisitLabeled callbacks with the base name and the
-// absolute label set (nil for unlabeled metrics in the root registry).
-type LabelVisitor interface {
-	Visitor
-	VisitLabeledCounter(name string, labels Labels, c *Counter)
-	VisitLabeledGauge(name string, labels Labels, g *Gauge)
-	VisitLabeledHistogram(name string, labels Labels, h *Histogram)
-}
-
 // Visit enumerates every metric, descending into child registries —
-// steady-state allocation-free (encoded names are cached on first
-// visit), the export Sampler's path. Order is unspecified; visitors
-// that need determinism must sort on their side.
+// allocation-free (encoded names are precomputed per slot), the export
+// Sampler's path. Families arrive in creation order, children after
+// their parent; visitors that need a sorted view sort on their side.
 func (r *Registry) Visit(v Visitor) {
 	if r == nil {
 		return
 	}
-	lv, _ := v.(LabelVisitor)
-	r.mu.Lock()
-	for name, c := range r.counters {
-		if lv != nil {
-			lv.VisitLabeledCounter(name, r.labels, c)
-		} else {
-			v.VisitCounter(r.encNameLocked(name), c)
-		}
-	}
-	for name, g := range r.gauges {
-		if lv != nil {
-			lv.VisitLabeledGauge(name, r.labels, g)
-		} else {
-			v.VisitGauge(r.encNameLocked(name), g)
-		}
-	}
-	for name, h := range r.hists {
-		if lv != nil {
-			lv.VisitLabeledHistogram(name, r.labels, h)
-		} else {
-			v.VisitHistogram(r.encNameLocked(name), h)
-		}
-	}
-	fams := r.familiesLocked()
-	kids := r.childrenLocked()
-	r.mu.Unlock()
+	fams, kids := r.tree()
 	for _, f := range fams {
-		f.visit(v, lv)
+		f.visit(v)
 	}
 	for _, k := range kids {
 		k.Visit(v)
 	}
-}
-
-// encNameLocked returns EncodeName(name, r.labels), cached so repeat
-// visits allocate nothing; callers hold r.mu.
-func (r *Registry) encNameLocked(name string) string {
-	if len(r.labels) == 0 {
-		return name
-	}
-	enc, ok := r.encCache[name]
-	if !ok {
-		enc = EncodeName(name, r.labels)
-		if r.encCache == nil {
-			r.encCache = make(map[string]string)
-		}
-		r.encCache[name] = enc
-	}
-	return enc
-}
-
-// familiesLocked returns the append-only family list (the slice header
-// is safe to iterate after the lock drops); callers hold r.mu.
-func (r *Registry) familiesLocked() []*family {
-	return r.fams
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, shaped for
@@ -453,8 +369,8 @@ func (r *Registry) familiesLocked() []*family {
 // the per-phase duration statistics. Labels is the snapshotting
 // registry's own full label set (nil for an unlabeled root); map keys
 // are metric identities relative to it — plain names for its own
-// metrics, name{k="v",...} (see EncodeName) for family slots and
-// child-registry metrics.
+// unlabeled metrics, name{k="v",...} (see EncodeName) for labeled
+// slots and child-registry metrics.
 type Snapshot struct {
 	Labels     map[string]string         `json:"labels,omitempty"`
 	Counters   map[string]int64          `json:"counters"`
@@ -490,35 +406,7 @@ func (r *Registry) Snapshot() Snapshot {
 // the label path from the snapshotting ancestor down to this registry
 // — then recurses into children with their own labels appended.
 func (r *Registry) snapshotInto(s *Snapshot, rel Labels) {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	fams := r.familiesLocked()
-	kids := r.childrenLocked()
-	r.mu.Unlock()
-
-	for k, v := range counters {
-		s.Counters[EncodeName(k, rel)] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[EncodeName(k, rel)] = v.Value()
-	}
-	for k, v := range hists {
-		st := v.Stats()
-		st.Exemplars = v.Exemplars()
-		st.Buckets = v.BucketCounts()
-		s.Histograms[EncodeName(k, rel)] = st
-	}
+	fams, kids := r.tree()
 	for _, f := range fams {
 		f.snapshotInto(s, rel)
 	}

@@ -38,7 +38,7 @@ func TestNilSafety(t *testing.T) {
 	if r.Clock() != Wall {
 		t.Error("nil registry clock is not Wall")
 	}
-	sp := r.Span("phase")
+	sp := r.StartOp("op").Span("phase")
 	if d := sp.End(); d != 0 {
 		t.Errorf("zero span measured %v", d)
 	}
@@ -138,7 +138,8 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	rec := NewRecorder(2)
 	r.SetSink(rec)
 
-	sp := r.Span("phase.a")
+	op := r.StartOp("op")
+	sp := op.Span("phase.a")
 	clock.Advance(250 * time.Millisecond)
 	if d := sp.End(); d != 250*time.Millisecond {
 		t.Fatalf("span measured %v", d)
@@ -156,8 +157,8 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	}
 
 	// The recorder bounds its buffer and counts overflow.
-	r.Span("phase.b").End()
-	r.Span("phase.c").End()
+	op.Span("phase.b").End()
+	op.Span("phase.c").End()
 	if got := len(rec.Events()); got != 2 {
 		t.Errorf("recorder kept %d events, cap 2", got)
 	}
@@ -170,6 +171,7 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	if len(snap.Events) != 2 {
 		t.Errorf("snapshot events = %d, want 2", len(snap.Events))
 	}
+	op.Done()
 }
 
 func TestWriteJSONFile(t *testing.T) {
@@ -204,6 +206,8 @@ func TestWriteJSONFile(t *testing.T) {
 func TestConcurrency(t *testing.T) {
 	r := NewRegistry()
 	r.SetSink(NewRecorder(64))
+	op := r.StartOp("shared.op")
+	defer op.Done()
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -214,7 +218,7 @@ func TestConcurrency(t *testing.T) {
 				r.Counter("shared.count").Inc()
 				r.Gauge("shared.gauge").Add(1)
 				r.Histogram("shared.hist").Observe(time.Duration(i))
-				r.Span("shared.span").End()
+				op.Span("shared.span").End()
 			}
 		}()
 	}
@@ -227,5 +231,31 @@ func TestConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("shared.span").Stats().Count; got != workers*iters {
 		t.Errorf("span count = %d, want %d", got, workers*iters)
+	}
+}
+
+// TestRegistryLookupAllocs pins the steady-state cost of the paths that
+// run per request in serve and per phase in core: a plain-metric lookup
+// of an existing name through the family index, and a child span of a
+// live op with no sink attached. Both allocate nothing.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a.count")
+	r.Gauge("a.level")
+	r.Histogram("a.phase")
+	op := r.StartOp("a.op")
+	defer op.Done()
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter", func() { r.Counter("a.count").Inc() }},
+		{"Gauge", func() { r.Gauge("a.level").Set(1) }},
+		{"Histogram", func() { r.Histogram("a.phase").Observe(time.Millisecond) }},
+		{"Op.Span", func() { op.Span("a.phase").End() }},
+	} {
+		if got := testing.AllocsPerRun(200, c.fn); got != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", c.name, got)
+		}
 	}
 }

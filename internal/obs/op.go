@@ -8,8 +8,9 @@ import (
 )
 
 // TraceID identifies one operation (an embed, a repair, a simulator
-// step) across every span and event it produces. Zero means "untraced":
-// telemetry emitted outside any operation context.
+// step) across every span and event it produces. Zero means "no
+// trace": the zero Span of a disabled operation, or an event decoded
+// from outside input that carried none.
 type TraceID uint64
 
 // SpanID identifies one span within a trace. Zero means "no span".

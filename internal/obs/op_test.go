@@ -110,23 +110,6 @@ func TestStartOpDistinctTraces(t *testing.T) {
 	b.Done()
 }
 
-// Spans started outside any op keep the legacy untraced behavior, even
-// when chained through Span.Span.
-func TestUntracedSpanStaysUntraced(t *testing.T) {
-	reg := NewRegistry()
-	rec := NewRecorder(8)
-	reg.SetSink(rec)
-	outer := reg.Span("t.phase.total")
-	inner := outer.Span("t.phase.route")
-	inner.End()
-	outer.End()
-	for _, e := range rec.Events() {
-		if e.Trace != 0 || e.Span != 0 || e.Parent != 0 {
-			t.Errorf("untraced span %s carries identity: %+v", e.Name, e)
-		}
-	}
-}
-
 func TestOpLogStampsIdentity(t *testing.T) {
 	var buf strings.Builder
 	reg := NewRegistry()

@@ -5,10 +5,12 @@ import (
 	"time"
 )
 
-// Event is one completed span: a named phase with its start instant and
-// duration in nanoseconds. Spans started under an Op also carry the
-// trace identity — Trace/Span/Parent are zero ("", omitted from JSON)
-// for registry-level spans outside any operation.
+// Event is one completed span: a named phase with its start instant,
+// duration in nanoseconds and trace identity. Every span belongs to an
+// Op, so events a registry emits always carry a nonzero Trace and Span
+// (Parent is zero only on an operation's root span). Zero ids are
+// omitted from JSON; they appear only in events decoded from outside
+// input, such as trace files and flight bundles.
 type Event struct {
 	Name    string  `json:"name"`
 	StartNS int64   `json:"start_unix_ns"`
@@ -71,11 +73,11 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Span measures one named phase. It is a plain value — starting a span
-// on a nil registry yields the zero Span, whose End is a no-op — so
-// disabled tracing allocates nothing. Spans opened under an Op (or via
-// Span.Span) additionally carry the trace id and their parent's span
-// id, which End stamps onto the emitted Event.
+// Span measures one named phase of an operation. It is a plain value —
+// a nil Op yields the zero Span, whose End and Span are no-ops — so
+// disabled tracing allocates nothing. Spans come only from an Op (its
+// root, Op.Span, or Span.Span on one of those) and carry the trace id
+// and their parent's span id, which End stamps onto the emitted Event.
 type Span struct {
 	r      *Registry
 	h      *Histogram
@@ -86,19 +88,9 @@ type Span struct {
 	parent SpanID
 }
 
-// Span starts a span on the registry's clock; its duration lands in
-// the histogram of the same name, and an Event goes to the sink. The
-// span is untraced (no trace/span ids); use Registry.StartOp and
-// Op.Span for causal telemetry.
-func (r *Registry) Span(name string) Span {
-	return r.span(name, 0, 0, 0)
-}
-
-// span is the common constructor behind Span, StartOp and child spans.
+// span is the constructor behind StartOp and child spans: its duration
+// lands in the histogram of the same name.
 func (r *Registry) span(name string, trace TraceID, id SpanID, parent SpanID) Span {
-	if r == nil {
-		return Span{}
-	}
 	return Span{
 		r: r, h: r.Histogram(name), name: name, start: r.Clock().Now(),
 		trace: trace, id: id, parent: parent,
@@ -106,37 +98,36 @@ func (r *Registry) span(name string, trace TraceID, id SpanID, parent SpanID) Sp
 }
 
 // Span starts a child span: same trace, fresh span id, s as parent. On
-// an untraced or zero span the child is a plain registry span (or a
-// zero Span when the receiver is zero), so call sites need no guards.
+// the zero Span the child is the zero Span, so call sites need no
+// guards.
 func (s Span) Span(name string) Span {
 	if s.r == nil {
 		return Span{}
 	}
-	if s.trace == 0 {
-		return s.r.Span(name)
-	}
 	return s.r.span(name, s.trace, SpanID(nextID()), s.id)
 }
 
-// Trace returns the span's trace id (zero when untraced).
+// Registry returns the registry the span records into (nil for the zero
+// Span), so a layer handed a parent span reaches its metrics without a
+// second handle.
+func (s Span) Registry() *Registry { return s.r }
+
+// Trace returns the span's trace id (zero for the zero Span).
 func (s Span) Trace() TraceID { return s.trace }
 
-// ID returns the span's own id (zero when untraced).
+// ID returns the span's own id (zero for the zero Span).
 func (s Span) ID() SpanID { return s.id }
 
 // End completes the span and returns its duration (0 for a zero Span).
-// Traced spans record a slowest-K exemplar on their histogram; the
-// completed Event reaches the sink and the flight recorder's span ring.
+// The duration lands in the span's histogram with a slowest-K exemplar
+// for its trace; the completed Event reaches the sink and the flight
+// recorder's span ring.
 func (s Span) End() time.Duration {
 	if s.r == nil {
 		return 0
 	}
 	d := Since(s.r.Clock(), s.start)
-	if s.trace != 0 {
-		s.h.ObserveTrace(d, s.trace)
-	} else {
-		s.h.Observe(d)
-	}
+	s.h.ObserveTrace(d, s.trace)
 	s.r.mu.Lock()
 	sink := s.r.sink
 	fl := s.r.flight

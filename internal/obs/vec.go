@@ -14,12 +14,31 @@ import (
 // SetMaxCardinality before creating families.
 const DefaultMaxCardinality = 1024
 
-// family is the shared bookkeeping behind CounterVec, GaugeVec and
-// HistogramVec: one metric name, a declared label-key schema, and a
-// bounded map from canonical label sets to live metric slots.
+// kind is a metric family's type.
+type kind uint8
+
+const (
+	counterKind kind = iota
+	gaugeKind
+	histogramKind
+)
+
+// famKey indexes a registry's families. A struct key, so a lookup by
+// name builds no string; counter, gauge and histogram namespaces stay
+// separate.
+type famKey struct {
+	kind kind
+	name string
+}
+
+// family is the registry's one metric storage: one metric name, a
+// declared label-key schema, and a bounded map from canonical label
+// sets to live metric slots. A plain Counter, Gauge or Histogram is the
+// zero-key slot of a family with no keys; CounterVec, GaugeVec and
+// HistogramVec are views of a keyed family.
 type family struct {
 	name string
-	kind string   // "counter" | "gauge" | "histogram"
+	kind kind
 	keys []string // declared label keys, sorted
 	base Labels   // owning registry's full label set (fixed at creation)
 	cap  int
@@ -36,16 +55,16 @@ type family struct {
 type slot struct {
 	labels  Labels // With-supplied labels only, sorted
 	full    Labels // base merged with labels — the absolute identity
-	fullEnc string // EncodeName(name, full), what plain Visitors receive
+	fullEnc string // EncodeName(name, full), the name Visitors receive
 	c       *Counter
 	g       *Gauge
 	h       *Histogram
 }
 
-func newFamily(name, kind string, keys []string, base Labels, cap int) *family {
+func newFamily(name string, k kind, keys []string, base Labels, cap int) *family {
 	ks := append([]string(nil), keys...)
 	sort.Strings(ks)
-	f := &family{name: name, kind: kind, keys: ks, base: base, cap: cap}
+	f := &family{name: name, kind: k, keys: ks, base: base, cap: cap}
 	for i, k := range ks {
 		if !ValidLabelKey(k) {
 			f.err = fmt.Errorf("obs: %s: invalid label key %q (want lower_snake)", name, k)
@@ -60,8 +79,12 @@ func newFamily(name, kind string, keys []string, base Labels, cap int) *family {
 // creating it on first use. Schema mismatches and cardinality-cap trips
 // record the family's first error and return nil — the caller's handle
 // becomes a nil metric, which is safe to use and visibly absent from
-// exports, while Err() explains why.
+// exports, while Err() explains why. A nil family (a nil vec from a
+// nil registry) resolves nil.
 func (f *family) resolve(kv []string) *slot {
+	if f == nil {
+		return nil
+	}
 	// kv must not reach fmt or any heap store: call sites pass it as a
 	// stack-allocated variadic slice, which is what keeps a disabled
 	// (nil-vec) With at 0 allocs. Diagnostics format the heap-side ls.
@@ -88,9 +111,9 @@ func (f *family) resolve(kv []string) *slot {
 	full := f.base.Merge(ls)
 	s = &slot{labels: ls, full: full, fullEnc: EncodeName(f.name, full)}
 	switch f.kind {
-	case "counter":
+	case counterKind:
 		s.c = &Counter{}
-	case "gauge":
+	case gaugeKind:
 		s.g = &Gauge{}
 	default:
 		s.h = &Histogram{}
@@ -143,30 +166,17 @@ func (f *family) snapshotSlots() []*slot {
 	return s
 }
 
-// visit walks every slot. Label-aware visitors get the base name plus
-// the absolute label set; plain visitors get the precomputed encoded
+// visit walks every slot, handing the visitor the precomputed encoded
 // name, so the Sampler path allocates nothing once slots exist.
-func (f *family) visit(v Visitor, lv LabelVisitor) {
+func (f *family) visit(v Visitor) {
 	for _, s := range f.snapshotSlots() {
 		switch f.kind {
-		case "counter":
-			if lv != nil {
-				lv.VisitLabeledCounter(f.name, s.full, s.c)
-			} else {
-				v.VisitCounter(s.fullEnc, s.c)
-			}
-		case "gauge":
-			if lv != nil {
-				lv.VisitLabeledGauge(f.name, s.full, s.g)
-			} else {
-				v.VisitGauge(s.fullEnc, s.g)
-			}
+		case counterKind:
+			v.VisitCounter(s.fullEnc, s.c)
+		case gaugeKind:
+			v.VisitGauge(s.fullEnc, s.g)
 		default:
-			if lv != nil {
-				lv.VisitLabeledHistogram(f.name, s.full, s.h)
-			} else {
-				v.VisitHistogram(s.fullEnc, s.h)
-			}
+			v.VisitHistogram(s.fullEnc, s.h)
 		}
 	}
 }
@@ -178,9 +188,9 @@ func (f *family) snapshotInto(s *Snapshot, rel Labels) {
 	for _, sl := range f.snapshotSlots() {
 		key := EncodeName(f.name, rel.Merge(sl.labels))
 		switch f.kind {
-		case "counter":
+		case counterKind:
 			s.Counters[key] = sl.c.Value()
-		case "gauge":
+		case gaugeKind:
 			s.Gauges[key] = sl.g.Value()
 		default:
 			st := sl.h.Stats()
@@ -196,142 +206,92 @@ func (f *family) snapshotInto(s *Snapshot, rel Labels) {
 // usual single pointer test per operation. A nil *CounterVec (from a
 // nil registry) resolves to nil counters, keeping the disabled path
 // allocation-free — BenchmarkObsDisabled in internal/core proves it.
-type CounterVec struct{ f *family }
+type CounterVec family
 
 // With returns the counter for the alternating key/value pairs, which
 // must cover exactly the keys declared at CounterVec creation. On
 // schema mismatch or cardinality-cap overflow it records the family's
 // first error (see Err) and returns nil.
 func (v *CounterVec) With(kv ...string) *Counter {
-	if v == nil {
-		return nil
+	if s := (*family)(v).resolve(kv); s != nil {
+		return s.c
 	}
-	s := v.f.resolve(kv)
-	if s == nil {
-		return nil
-	}
-	return s.c
+	return nil
 }
 
 // Err returns the first schema or cardinality error recorded by With.
-func (v *CounterVec) Err() error {
-	if v == nil {
-		return nil
-	}
-	return v.f.firstErr()
-}
+func (v *CounterVec) Err() error { return (*family)(v).firstErr() }
 
 // GaugeVec is a labeled gauge family; see CounterVec.
-type GaugeVec struct{ f *family }
+type GaugeVec family
 
 // With returns the gauge for the given label set; see CounterVec.With.
 func (v *GaugeVec) With(kv ...string) *Gauge {
-	if v == nil {
-		return nil
+	if s := (*family)(v).resolve(kv); s != nil {
+		return s.g
 	}
-	s := v.f.resolve(kv)
-	if s == nil {
-		return nil
-	}
-	return s.g
+	return nil
 }
 
 // Err returns the first schema or cardinality error recorded by With.
-func (v *GaugeVec) Err() error {
-	if v == nil {
-		return nil
-	}
-	return v.f.firstErr()
-}
+func (v *GaugeVec) Err() error { return (*family)(v).firstErr() }
 
 // HistogramVec is a labeled histogram family; see CounterVec.
-type HistogramVec struct{ f *family }
+type HistogramVec family
 
 // With returns the histogram for the given label set; see
 // CounterVec.With.
 func (v *HistogramVec) With(kv ...string) *Histogram {
-	if v == nil {
-		return nil
+	if s := (*family)(v).resolve(kv); s != nil {
+		return s.h
 	}
-	s := v.f.resolve(kv)
-	if s == nil {
-		return nil
-	}
-	return s.h
+	return nil
 }
 
 // Err returns the first schema or cardinality error recorded by With.
-func (v *HistogramVec) Err() error {
-	if v == nil {
-		return nil
-	}
-	return v.f.firstErr()
-}
+func (v *HistogramVec) Err() error { return (*family)(v).firstErr() }
 
 // CounterVec returns the named counter family, creating it on first
 // use with the given label-key schema. Subsequent calls return the
 // existing family; a conflicting key schema records an error on it.
 func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.cvecs[name]
-	if !ok {
-		v = &CounterVec{f: newFamily(name, "counter", keys, r.labels, r.maxCardLocked())}
-		if r.cvecs == nil {
-			r.cvecs = make(map[string]*CounterVec)
-		}
-		r.cvecs[name] = v
-		r.fams = append(r.fams, v.f)
-	} else {
-		checkSchema(v.f, keys)
-	}
-	return v
+	return (*CounterVec)(r.family(counterKind, name, keys))
 }
 
 // GaugeVec returns the named gauge family, creating it on first use.
 func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{f: newFamily(name, "gauge", keys, r.labels, r.maxCardLocked())}
-		if r.gvecs == nil {
-			r.gvecs = make(map[string]*GaugeVec)
-		}
-		r.gvecs[name] = v
-		r.fams = append(r.fams, v.f)
-	} else {
-		checkSchema(v.f, keys)
-	}
-	return v
+	return (*GaugeVec)(r.family(gaugeKind, name, keys))
 }
 
 // HistogramVec returns the named histogram family, creating it on
 // first use.
 func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
+	return (*HistogramVec)(r.family(histogramKind, name, keys))
+}
+
+// family looks up the kind/name family, creating it with the given key
+// schema on first use (nil on a nil registry). A lookup whose schema
+// differs from the declared one records an error on the family, whose
+// With then refuses the mismatched label sets.
+func (r *Registry) family(k kind, name string, keys []string) *family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok := r.hvecs[name]
+	key := famKey{k, name}
+	f, ok := r.index[key]
 	if !ok {
-		v = &HistogramVec{f: newFamily(name, "histogram", keys, r.labels, r.maxCardLocked())}
-		if r.hvecs == nil {
-			r.hvecs = make(map[string]*HistogramVec)
+		f = newFamily(name, k, keys, r.labels, r.maxCardLocked())
+		if r.index == nil {
+			r.index = make(map[famKey]*family)
 		}
-		r.hvecs[name] = v
-		r.fams = append(r.fams, v.f)
-	} else {
-		checkSchema(v.f, keys)
+		r.index[key] = f
+		r.fams = append(r.fams, f)
+		return f
 	}
-	return v
+	checkSchema(f, keys)
+	return f
 }
 
 // checkSchema records an error when a family is re-declared with a
@@ -380,31 +340,15 @@ func (r *Registry) VecErrors() []error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.cvecs)+len(r.gvecs)+len(r.hvecs))
-	for _, v := range r.cvecs {
-		fams = append(fams, v.f)
-	}
-	for _, v := range r.gvecs {
-		fams = append(fams, v.f)
-	}
-	for _, v := range r.hvecs {
-		fams = append(fams, v.f)
-	}
-	children := make([]*Registry, 0, len(r.children))
-	for _, c := range r.children {
-		children = append(children, c)
-	}
-	r.mu.Unlock()
-
+	fams, kids := r.tree()
 	var errs []error
 	for _, f := range fams {
 		if err := f.firstErr(); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	for _, c := range children {
-		errs = append(errs, c.VecErrors()...)
+	for _, k := range kids {
+		errs = append(errs, k.VecErrors()...)
 	}
 	return errs
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterVecWith(t *testing.T) {
@@ -59,6 +60,42 @@ func TestVecSchemaMismatch(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("VecErrors() = %v, want a redeclaration error", errs)
+	}
+}
+
+// A plain metric is the zero-key slot of its family, so using one name
+// both plain and keyed is a schema mismatch in either order: the second
+// use records the error and resolves nil, like a mismatched With.
+func TestZeroKeySchemaMismatch(t *testing.T) {
+	r := NewRegistry()
+	r.CounterVec("keyed", "n").With("n", "6").Inc()
+	if c := r.Counter("keyed"); c != nil {
+		t.Error("plain lookup of a keyed family resolved a live counter")
+	}
+	r.Counter("keyed").Inc() // nil counter: must be safe
+
+	r.Histogram("plain").Observe(time.Millisecond)
+	hv := r.HistogramVec("plain", "n")
+	if h := hv.With("n", "6"); h != nil {
+		t.Error("keyed lookup of a plain family resolved a live histogram")
+	}
+	if hv.Err() == nil {
+		t.Error("keyed lookup of a plain family left no error")
+	}
+
+	// Kinds keep separate namespaces: a gauge may share a counter's name.
+	if g := r.Gauge("keyed"); g == nil {
+		t.Error("gauge sharing a counter family's name resolved nil")
+	}
+	if errs := r.VecErrors(); len(errs) != 2 {
+		t.Errorf("VecErrors() = %v, want one error per mismatched family", errs)
+	}
+	snap := r.Snapshot()
+	if _, ok := snap.Counters["keyed"]; ok {
+		t.Error("refused plain counter surfaced in the snapshot")
+	}
+	if snap.Counters[`keyed{n="6"}`] != 1 || snap.Histograms["plain"].Count != 1 {
+		t.Errorf("declared slots lost: %+v", snap)
 	}
 }
 
@@ -164,28 +201,8 @@ func TestChildEventLogStamping(t *testing.T) {
 	}
 }
 
-// labelCollector records both plain and labeled callbacks to test
-// Visit's routing.
-type labelCollector struct {
-	plain   []string
-	labeled []string
-}
-
-func (c *labelCollector) VisitCounter(name string, _ *Counter)     { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitGauge(name string, _ *Gauge)         { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitHistogram(name string, _ *Histogram) { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitLabeledCounter(name string, ls Labels, _ *Counter) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-func (c *labelCollector) VisitLabeledGauge(name string, ls Labels, _ *Gauge) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-func (c *labelCollector) VisitLabeledHistogram(name string, ls Labels, _ *Histogram) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-
-// plainCollector implements only Visitor; labeled metrics must arrive
-// with encoded names.
+// plainCollector records the names Visit hands out; labeled metrics
+// must arrive with encoded names.
 type plainCollector struct{ names []string }
 
 func (c *plainCollector) VisitCounter(name string, _ *Counter)     { c.names = append(c.names, name) }
@@ -197,23 +214,6 @@ func TestVisitLabelRouting(t *testing.T) {
 	r.Counter("plain").Inc()
 	r.CounterVec("fam", "n").With("n", "6").Inc()
 	r.Child("machine", "m0").Counter("sim.embeds").Inc()
-
-	lc := &labelCollector{}
-	r.Visit(lc)
-	if len(lc.plain) != 0 {
-		t.Errorf("LabelVisitor received plain callbacks: %v", lc.plain)
-	}
-	wantLabeled := map[string]bool{
-		"plain":                    true,
-		`fam{n="6"}`:               true,
-		`sim.embeds{machine="m0"}`: true,
-	}
-	for _, n := range lc.labeled {
-		delete(wantLabeled, n)
-	}
-	if len(wantLabeled) != 0 {
-		t.Errorf("labeled callbacks missing %v; got %v", wantLabeled, lc.labeled)
-	}
 
 	pc := &plainCollector{}
 	r.Visit(pc)
@@ -266,7 +266,7 @@ func TestVecConcurrency(t *testing.T) {
 				case 1:
 					r.Visit(&plainCollector{})
 				default:
-					r.Visit(&labelCollector{})
+					r.VecErrors()
 				}
 			}
 		}(w)

@@ -85,10 +85,10 @@ type Options struct {
 	// SpreadFaults forbids two fault-bearing children from being
 	// consecutive within a clique path.
 	SpreadFaults bool
-	// Obs receives construction telemetry: a superring.phase.initial /
-	// superring.phase.refine span per call and the junction-search
-	// backtrack counter. nil disables it.
-	Obs *obs.Registry
+	// Obs is the caller's span: each call opens a superring.phase.initial
+	// or superring.phase.refine child of it and counts junction-search
+	// backtracks in its registry. The zero Span disables telemetry.
+	Obs obs.Span
 }
 
 func (o Options) faultCount(p substar.Pattern) int {
@@ -293,7 +293,7 @@ func chooseJunctions(r *Ring, pos int, cliques [][]substar.Pattern,
 	m := len(cliques)
 	qs := make([]uint8, m)
 	idx := make([]int, m) // next candidate index to try at each superedge
-	backtracks := opts.Obs.Counter("superring.junction.backtracks")
+	backtracks := opts.Obs.Registry().Counter("superring.junction.backtracks")
 
 	feasible := func(k int) bool {
 		// Clique k's path runs from Fix(pos, qs[k-1]) to Fix(pos, qs[k]).

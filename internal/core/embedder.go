@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/check"
@@ -219,6 +220,53 @@ func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton) *Plan {
 		}
 	}
 	return p
+}
+
+// Clone returns an independent copy of the plan: repairing the clone
+// (splice or rebuild) never changes p, so a cache can hand out clones
+// of a shared parent and keep the parent immutable. The clone owns
+// copies of everything a repair writes — the Result (and the
+// materialized ring), the fault set, the segment offsets and every
+// block plan, each with fresh avoid slices because a splice appends to
+// them — and shares what no repair writes: the engine, the R4 super-ring,
+// the block index and each block's canonical S4 search. Cost is
+// O(ring + #blocks) copying, no path search.
+func (p *Plan) Clone() *Plan {
+	res := *p.res
+	res.Ring = slices.Clone(p.res.Ring)
+	res.Positions = slices.Clone(p.res.Positions)
+	c := &Plan{
+		e: p.e, res: &res, fs: p.fs.Clone(),
+		r4: p.r4, blockIdx: p.blockIdx, offsets: slices.Clone(p.offsets),
+		gen: p.gen, segBlock: -1, broken: p.broken,
+	}
+	if p.blocks != nil {
+		// One backing array for the block plans instead of one allocation
+		// per block.
+		bs := make([]blockPlan, len(p.blocks))
+		c.blocks = make([]*blockPlan, len(p.blocks))
+		for k, pb := range p.blocks {
+			bs[k] = *pb
+			bs[k].avoidV = slices.Clone(pb.avoidV)
+			bs[k].avoidE = slices.Clone(pb.avoidE)
+			c.blocks[k] = &bs[k]
+		}
+	}
+	return c
+}
+
+// VerifyOp runs the full independent ring check — the one every cold
+// embedding passes before EmbedOp returns — over the plan's current
+// ring, as a core.phase.verify span of op: at least the guarantee when
+// the fault set is within budget, any healthy cycle otherwise. A splice
+// re-verifies only its segment (unless Config.VerifyRepairs); callers
+// that must hand out a fully checked ring after splices run this. It
+// only reads the plan: concurrent calls are safe while nothing repairs
+// it.
+func (p *Plan) VerifyOp(op *obs.Op) error {
+	span := op.Span("core.phase.verify")
+	defer span.End()
+	return p.verify(span)
 }
 
 // Streaming reports whether the plan holds its ring in skeleton form

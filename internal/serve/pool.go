@@ -15,6 +15,7 @@ import (
 // burst degrades into fast 429s instead of an unbounded latency tail.
 type pool struct {
 	n       int
+	cfg     core.Config // every engine's configuration, for replacements
 	engines chan *core.Embedder
 	// queued counts callers blocked in Acquire; maxQueue <= 0 disables
 	// shedding (unbounded queue).
@@ -27,7 +28,7 @@ func newPool(n, size, maxQueue int, cfg core.Config, depth *obs.Gauge) (*pool, e
 	if size < 1 {
 		size = 1
 	}
-	p := &pool{n: n, engines: make(chan *core.Embedder, size), maxQueue: maxQueue, depth: depth}
+	p := &pool{n: n, cfg: cfg, engines: make(chan *core.Embedder, size), maxQueue: maxQueue, depth: depth}
 	for i := 0; i < size; i++ {
 		e, err := core.NewEmbedder(n, cfg)
 		if err != nil {
@@ -36,15 +37,6 @@ func newPool(n, size, maxQueue int, cfg core.Config, depth *obs.Gauge) (*pool, e
 		p.engines <- e
 	}
 	return p, nil
-}
-
-// warm forces the shared per-dimension caches hot. One engine suffices:
-// the substrate they prime is process-wide.
-func (p *pool) warm() error {
-	e := <-p.engines
-	err := e.Warm()
-	p.engines <- e
-	return err
 }
 
 // acquire borrows an engine, queueing when the shard is busy. It
@@ -70,6 +62,18 @@ func (p *pool) acquire() (*core.Embedder, bool) {
 
 // release returns a borrowed engine to the shard.
 func (p *pool) release(e *core.Embedder) { p.engines <- e }
+
+// replace fills the slot of a borrowed engine whose borrower panicked:
+// its state is suspect, so a fresh engine goes back instead. newPool
+// built every engine from this n and cfg, so NewEmbedder cannot fail
+// here; if it did, the old engine would keep the slot rather than the
+// pool shrinking.
+func (p *pool) replace(old *core.Embedder) {
+	if e, err := core.NewEmbedder(p.n, p.cfg); err == nil {
+		old = e
+	}
+	p.engines <- old
+}
 
 // saturated reports whether every engine is currently borrowed — the
 // readiness signal: a saturated shard still serves, but new load will

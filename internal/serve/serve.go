@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/perm"
@@ -71,6 +72,7 @@ type Server struct {
 	reg   *obs.Registry
 	red   *red
 	pools []*pool // indexed by dimension; nil outside [MinN, MaxN]
+	cache *planCache
 	mux   *http.ServeMux
 
 	// inflight is the admission count the middleware checks; inflightG
@@ -100,6 +102,7 @@ func New(cfg Config) (*Server, error) {
 		reg:       cfg.Obs,
 		red:       newRED(cfg.Obs, cfg.MinN, cfg.MaxN),
 		pools:     make([]*pool, cfg.MaxN+1),
+		cache:     newPlanCache(cfg.Obs, cfg.MinN, cfg.MaxN),
 		shed:      cfg.Obs.Counter("serve.shed"),
 		errChaos:  errors.New("serve: chaos: injected failure"),
 		errShed:   errors.New("serve: overloaded"),
@@ -145,15 +148,25 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Warm primes every pool's shared caches with one fault-free
-// embedding per dimension. /readyz reports 503 until it returns.
+// Warm embeds each served dimension's fault-free ring, which forces
+// the engines' shared caches hot, and pins the plan in the plan cache
+// (when it fits the budget): every repair chain starts there, so it is
+// never evicted. /readyz reports 503 until it returns.
 func (s *Server) Warm() error {
 	s.warming.Set(1)
 	defer s.warming.Set(0)
 	for n := s.cfg.MinN; n <= s.cfg.MaxN; n++ {
-		if err := s.pools[n].warm(); err != nil {
+		p := s.pools[n]
+		eng, ok := p.acquire()
+		if !ok {
+			return fmt.Errorf("serve: warm n=%d: %w", n, s.errShed)
+		}
+		plan, err := eng.Embed(nil)
+		p.release(eng)
+		if err != nil {
 			return fmt.Errorf("serve: warm n=%d: %w", n, err)
 		}
+		s.cache.pin(planKey(faults.NewSet(n), s.cfg.BestEffort), plan)
 	}
 	return nil
 }
@@ -176,19 +189,37 @@ func (s *Server) nIndex(n int) int {
 	return n
 }
 
-// handlerFunc is one route's logic: it writes the response and reports
-// the dimension it served (0 when rejected before parsing), the status
-// code it wrote, and the error behind a non-2xx (recorded to the event
-// log, and to the flight recorder on 5xx).
-type handlerFunc func(w http.ResponseWriter, r *http.Request, op *obs.Op) (n, code int, err error)
+// result is what a route handler reports to the middleware: the
+// dimension it served (0 when rejected before parsing), the status code
+// it wrote, the error behind a non-2xx (recorded to the event log, and
+// to the flight recorder on 5xx), and whether the plan cache answered
+// ("hit" or "miss"; empty when the request never reached it).
+type result struct {
+	n, code int
+	err     error
+	cache   string
+}
+
+// fail writes the error response and records it.
+func (res *result) fail(w http.ResponseWriter, code int, err error) {
+	http.Error(w, err.Error(), code)
+	res.code, res.err = code, err
+}
+
+// handlerFunc is one route's logic: it writes the response and fills
+// res as it goes, so what it recorded before a panic survives into the
+// middleware's accounting.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, op *obs.Op, res *result)
 
 // wrap is the observability middleware. Per request it:
 //
 //  1. admits or sheds (429 once inflight exceeds Config.MaxInflight),
 //  2. opens a serve.op.request op continuing the X-Star-Trace trace id
 //     (fresh when absent/malformed) and echoes the id in the response,
-//  3. runs the route handler under that op,
-//  4. logs the structured serve.request event,
+//  3. runs the route handler under that op, turning a panic into a 500
+//     that still passes through the steps below,
+//  4. logs the structured serve.request event (with cache=hit|miss
+//     when the plan cache was consulted),
 //  5. notes any 5xx to the flight recorder (auto-dumping when armed),
 //  6. feeds the pre-resolved RED families through red.observe, with
 //     the trace id riding the latency exemplar.
@@ -208,34 +239,48 @@ func (s *Server) wrap(ri int, h handlerFunc) http.Handler {
 		op := s.reg.StartOpTrace("serve.op.request", trace)
 		w.Header().Set(TraceHeader, op.Trace().String())
 
-		var n, code int
-		var err error
+		var res result
 		if s.cfg.MaxInflight > 0 && cur > int64(s.cfg.MaxInflight) {
-			code, err = s.shedRequest(w)
+			s.shedRequest(w, &res)
 		} else {
-			n, code, err = h(w, r, op)
+			runRecovered(h, w, r, op, &res)
 		}
 
 		d := op.Done()
 		if op.Enabled(obs.LevelInfo) {
-			op.Log(obs.LevelInfo, "serve.request",
-				obs.F("route", routeNames[ri]), obs.F("code", code),
-				obs.F("n", n), obs.F("dur_ns", d.Nanoseconds()))
+			fields := []obs.Field{obs.F("route", routeNames[ri]), obs.F("code", res.code),
+				obs.F("n", res.n), obs.F("dur_ns", d.Nanoseconds())}
+			if res.cache != "" {
+				fields = append(fields, obs.F("cache", res.cache))
+			}
+			op.Log(obs.LevelInfo, "serve.request", fields...)
 		}
-		if code >= 500 {
+		if res.code >= 500 {
 			// After Done and the event record, so an auto-dumped bundle
 			// already contains this request's full timeline.
-			s.reg.Flight().NoteError(op.Trace(), op.SpanID(), "serve."+routeNames[ri], err)
+			s.reg.Flight().NoteError(op.Trace(), op.SpanID(), "serve."+routeNames[ri], res.err)
 		}
-		s.red.observe(ri, codeIndex(code), s.nIndex(n), code, d, op.Trace())
+		s.red.observe(ri, codeIndex(res.code), s.nIndex(res.n), res.code, d, op.Trace())
 	})
 }
 
+// runRecovered runs h and turns a panic into a 500, so the request
+// still reaches the middleware's accounting and the flight recorder.
+// (A panic after a streamed body started cannot change the status; the
+// error text then ends the body, which no ring parser accepts.)
+func runRecovered(h handlerFunc, w http.ResponseWriter, r *http.Request, op *obs.Op, res *result) {
+	defer func() {
+		if v := recover(); v != nil {
+			res.fail(w, http.StatusInternalServerError, fmt.Errorf("serve: panic: %v", v))
+		}
+	}()
+	h(w, r, op, res)
+}
+
 // shedRequest writes the 429 load-shed response.
-func (s *Server) shedRequest(w http.ResponseWriter) (int, error) {
+func (s *Server) shedRequest(w http.ResponseWriter, res *result) {
 	s.shed.Inc()
-	http.Error(w, s.errShed.Error(), http.StatusTooManyRequests)
-	return http.StatusTooManyRequests, s.errShed
+	res.fail(w, http.StatusTooManyRequests, s.errShed)
 }
 
 // statusFor maps an engine error onto a response code: a fault set
@@ -248,37 +293,61 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// session runs fn with a pooled engine for req's dimension, embedding
-// req.Faults first — the shared prologue of every API route. It
-// handles the unserved-dimension 400, the queue-shed 429, and the
-// embed-error mapping; fn only sees a healthy plan.
-func (s *Server) session(w http.ResponseWriter, req *Request, op *obs.Op,
-	fn func(eng *core.Embedder, plan *core.Plan) (int, error)) (int, int, error) {
+// session runs fn with a pooled engine for req's dimension borrowed and
+// the plan for req's fault set — the shared prologue of every API
+// route. It handles the unserved-dimension 400, the queue-shed 429, and
+// the embed-error mapping; fn only sees a healthy plan. If fn panics,
+// the engine is not returned: a fresh one takes its pool slot.
+func (s *Server) session(w http.ResponseWriter, req *Request, op *obs.Op, res *result, fn func(ent *entry, shared bool)) {
+	res.n = req.N
 	p := s.pool(req.N)
 	if p == nil {
-		err := fmt.Errorf("%w: n=%d outside [%d,%d]", s.errNoPool, req.N, s.cfg.MinN, s.cfg.MaxN)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return req.N, http.StatusBadRequest, err
+		res.fail(w, http.StatusBadRequest,
+			fmt.Errorf("%w: n=%d outside [%d,%d]", s.errNoPool, req.N, s.cfg.MinN, s.cfg.MaxN))
+		return
 	}
 	eng, ok := p.acquire()
 	if !ok {
-		code, err := s.shedRequest(w)
-		return req.N, code, err
+		s.shedRequest(w, res)
+		return
 	}
-	defer p.release(eng)
-	if req.BestEffort != eng.Config().BestEffort {
-		cfg := eng.Config()
-		cfg.BestEffort = req.BestEffort
-		eng = eng.Reuse(cfg)
+	healthy := false
+	defer func() {
+		if healthy {
+			p.release(eng)
+		} else {
+			p.replace(eng)
+		}
+	}()
+	s.withPlan(w, req, op, res, eng, fn)
+	healthy = true
+}
+
+// withPlan runs fn on the plan for req's fault set: the cached one when
+// an earlier request produced that set (a hit), otherwise a cold
+// embedding, which is cached in turn when it fits the budget. A cached
+// plan is shared with concurrent requests (shared is true), so fn must
+// only read it: /repair clones it first.
+func (s *Server) withPlan(w http.ResponseWriter, req *Request, op *obs.Op, res *result, eng *core.Embedder, fn func(ent *entry, shared bool)) {
+	key := planKey(req.Faults, req.BestEffort)
+	ent, shared := s.cache.get(key, req.N)
+	if shared {
+		res.cache = "hit"
+	} else {
+		res.cache = "miss"
+		if req.BestEffort != eng.Config().BestEffort {
+			cfg := eng.Config()
+			cfg.BestEffort = req.BestEffort
+			eng = eng.Reuse(cfg)
+		}
+		plan, err := eng.EmbedOp(op, req.Faults)
+		if err != nil {
+			res.fail(w, statusFor(err), err)
+			return
+		}
+		ent, shared = s.cache.put(key, plan, true)
 	}
-	plan, err := eng.EmbedOp(op, req.Faults)
-	if err != nil {
-		code := statusFor(err)
-		http.Error(w, err.Error(), code)
-		return req.N, code, err
-	}
-	code, err := fn(eng, plan)
-	return req.N, code, err
+	fn(ent, shared)
 }
 
 // embedResponse is the JSON body of /embed and /repair.
@@ -296,6 +365,17 @@ type embedResponse struct {
 	Rerouted     int    `json:"blocks_rerouted,omitempty"`
 }
 
+// summary is the embedding part of an embedResponse.
+func summary(plan *core.Plan) embedResponse {
+	r := plan.Result()
+	return embedResponse{
+		N: r.N, Length: r.Len(),
+		Guarantee: r.Guarantee, Guaranteed: r.Guaranteed,
+		VertexFaults: r.VertexFaults, EdgeFaults: r.EdgeFaults,
+		Blocks: r.Blocks, Streaming: plan.Streaming(),
+	}
+}
+
 func writeJSON(w http.ResponseWriter, v interface{}) (int, error) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -308,85 +388,96 @@ func writeJSON(w http.ResponseWriter, v interface{}) (int, error) {
 
 // handleEmbed answers GET /embed?n=6&fv=...&fe=...[&best_effort=1]
 // with the embedding summary.
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op, res *result) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return 0, http.StatusBadRequest, err
+		res.fail(w, http.StatusBadRequest, err)
+		return
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
-		res := plan.Result()
-		return writeJSON(w, embedResponse{
-			N: req.N, Length: res.Len(),
-			Guarantee: res.Guarantee, Guaranteed: res.Guaranteed,
-			VertexFaults: res.VertexFaults, EdgeFaults: res.EdgeFaults,
-			Blocks: res.Blocks, Streaming: plan.Streaming(),
-		})
+	s.session(w, req, op, res, func(ent *entry, _ bool) {
+		res.code, res.err = writeJSON(w, summary(ent.plan))
 	})
 }
 
-// handleRepair answers GET /repair?n=6&fv=...&v=NEWFAULT: it embeds
-// around the prior faults, folds the new one in through the plan's
-// repair path, and reports what the repair did.
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+// handleRepair answers GET /repair?n=6&fv=...&v=NEWFAULT: it folds the
+// new fault into the plan for the prior faults through the plan's
+// repair path, caches the repaired plan under the grown fault set, and
+// reports what the repair did. A shared (cached) parent is cloned
+// first, so it stays intact for every other request.
+func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op, res *result) {
 	req, err := ParseRequest(r.URL.Query())
 	if err == nil && !req.HasV {
 		err = errors.New("serve: /repair needs v=<vertex> (the new fault)")
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return 0, http.StatusBadRequest, err
+		res.fail(w, http.StatusBadRequest, err)
+		return
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
+	s.session(w, req, op, res, func(parent *entry, shared bool) {
+		plan := parent.plan
+		if shared {
+			plan = plan.Clone()
+		}
 		old := plan.RingLen()
 		rep, err := plan.RepairOp(op, req.V)
 		if err != nil {
-			code := statusFor(err)
-			http.Error(w, err.Error(), code)
-			return code, err
+			res.fail(w, statusFor(err), err)
+			return
 		}
-		res := plan.Result()
-		return writeJSON(w, embedResponse{
-			N: req.N, Length: res.Len(),
-			Guarantee: res.Guarantee, Guaranteed: res.Guaranteed,
-			VertexFaults: res.VertexFaults, EdgeFaults: res.EdgeFaults,
-			Blocks: res.Blocks, Streaming: plan.Streaming(),
-			Repair: rep.Outcome.String(), OldLength: old, Rerouted: rep.BlocksRerouted,
-		})
+		// The child's ring has passed a full check when a rebuild
+		// self-verified it, when VerifyRepairs re-checked a splice, or
+		// when it is the parent's checked ring unchanged (a fault that
+		// landed off the ring).
+		checked := rep.Outcome == core.RepairRebuild ||
+			rep.Outcome == core.RepairSplice && s.cfg.VerifyRepairs ||
+			rep.Outcome != core.RepairSplice && parent.checked
+		s.cache.put(planKey(plan.Faults(), req.BestEffort), plan, checked)
+
+		body := summary(plan)
+		body.Repair, body.OldLength, body.Rerouted = rep.Outcome.String(), old, rep.BlocksRerouted
+		res.code, res.err = writeJSON(w, body)
 	})
 }
 
 // handleRing answers GET /ring?n=6&fv=... with the full ring, one
 // vertex per line in permutation notation, streamed through the
-// plan's cursor.
-func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+// plan's cursor. A plan that has not passed a full ring check since
+// its last mutation (a splice) is checked before the first byte is
+// written, once per cache entry.
+func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op, res *result) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return 0, http.StatusBadRequest, err
+		res.fail(w, http.StatusBadRequest, err)
+		return
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
+	s.session(w, req, op, res, func(ent *entry, _ bool) {
+		if err := ent.verified(func() error { return ent.plan.VerifyOp(op) }); err != nil {
+			s.cache.drop(ent)
+			res.fail(w, http.StatusInternalServerError, fmt.Errorf("serve: ring fails the full check: %w", err))
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		c := plan.Cursor()
+		res.code = http.StatusOK
+		c := ent.plan.Cursor()
 		for {
 			v, ok := c.Next()
 			if !ok {
 				break
 			}
 			if _, err := fmt.Fprintln(w, v.StringN(req.N)); err != nil {
-				return http.StatusOK, err // client went away mid-stream
+				res.err = err // client went away mid-stream
+				return
 			}
 		}
-		return http.StatusOK, c.Err()
+		res.err = c.Err()
 	})
 }
 
 // handleChaos (only routed under Config.Chaos) fails deterministically
 // with a 500, exercising the flight-recorder auto-dump path end to end
 // — the overload drill's 5xx source.
-func (s *Server) handleChaos(w http.ResponseWriter, _ *http.Request, _ *obs.Op) (int, int, error) {
-	http.Error(w, s.errChaos.Error(), http.StatusInternalServerError)
-	return 0, http.StatusInternalServerError, s.errChaos
+func (s *Server) handleChaos(w http.ResponseWriter, _ *http.Request, _ *obs.Op, res *result) {
+	res.fail(w, http.StatusInternalServerError, s.errChaos)
 }
 
 // healthState is the JSON body of /healthz and /readyz.

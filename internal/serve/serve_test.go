@@ -399,6 +399,12 @@ func TestMetricsEndpointExposesLabeledFamilies(t *testing.T) {
 		`serve_requests_total{code="200",n="4",route="embed"} 1`,
 		`serve_latency{quantile=`,
 		`serve_inflight 0`,
+		// The /embed missed the plan cache and cached its n=4 plan: 24
+		// ring vertices at 8 bytes each, no R4 blocks.
+		`serve_cache_misses_total{n="4"} 1`,
+		`serve_cache_hits_total{n="4"} 0`,
+		`serve_cache_evictions_total{n="4"} 0`,
+		`serve_cache_bytes 192`,
 	} {
 		if !strings.Contains(string(scrape), want) {
 			t.Errorf("scrape missing %q", want)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/substar"
 )
@@ -171,5 +172,71 @@ func TestNewChainValidation(t *testing.T) {
 	}
 	if _, err := NewChain(5, kids[:1]); err == nil {
 		t.Fatal("single-vertex chain accepted")
+	}
+}
+
+// TestChainRefineN11 threads an anchored chain of S_11 down to order 5.
+// The pos-7 level has 55,440 cliques, beyond any fixed junction-search
+// bound small enough to be useful: the bound must scale with the
+// clique count.
+func TestChainRefineN11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("S_11 chain refinement takes seconds")
+	}
+	n := 11
+	s := perm.IdentityCode(n)
+	tt := s.SwapFirst(2)
+	c, err := InitialChain(n, 2, s, tt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 3; c.Order() > 5; pos++ {
+		if c, err = c.Refine(pos, s, tt, Options{}); err != nil {
+			t.Fatalf("refine at %d: %v", pos, err)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.At(0).Contains(s) || !c.At(c.Len()-1).Contains(tt) {
+		t.Fatal("anchors left the chain ends")
+	}
+}
+
+// TestChainRefineTraced runs a chain construction under a live span:
+// both phases become its children and the junction search counts its
+// backtracks in the span's registry, as for rings.
+func TestChainRefineTraced(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(64)
+	reg.SetSink(rec)
+	op := reg.StartOp("t.chain")
+	parent := op.Span("t.build")
+	opts := Options{Obs: parent}
+	s := perm.IdentityCode(6)
+	tt := s.SwapFirst(2)
+	c, err := InitialChain(6, 2, s, tt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Refine(3, s, tt, opts); err != nil {
+		t.Fatal(err)
+	}
+	parent.End()
+	op.Done()
+
+	children := map[string]bool{}
+	for _, e := range rec.Events() {
+		if e.Parent == parent.ID() {
+			children[e.Name] = true
+		}
+	}
+	for _, phase := range []string{"superring.phase.initial", "superring.phase.refine"} {
+		if !children[phase] {
+			t.Errorf("no %s child span; children %v", phase, children)
+		}
+	}
+	if _, ok := reg.Snapshot().Counters["superring.junction.backtracks"]; !ok {
+		t.Error("superring.junction.backtracks missing from the registry")
 	}
 }

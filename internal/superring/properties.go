@@ -6,10 +6,10 @@ import (
 	"repro/internal/substar"
 )
 
-// P1 reports whether every supervertex of the ring contains at most one
-// fault witness (the paper's property (P1) for the R4).
-func (r *Ring) P1(faultCount func(substar.Pattern) int) bool {
-	for _, v := range r.verts {
+// P1 reports whether every supervertex of the ring or chain contains at
+// most one fault witness (the paper's property (P1) for the R4).
+func (q *seq) P1(faultCount func(substar.Pattern) int) bool {
+	for _, v := range q.verts {
 		if faultCount(v) > 1 {
 			return false
 		}
@@ -107,18 +107,23 @@ func childAdjacentTo(child, parent substar.Pattern) bool {
 // consecutive supervertices, uniform order, distinctness) and returns a
 // descriptive error on the first violation. New establishes the same
 // invariants; Validate lets tests re-check rings after manipulation.
-func (r *Ring) Validate() error {
-	seen := make(map[substar.Pattern]bool, len(r.verts))
-	for i, v := range r.verts {
+func (r *Ring) Validate() error { return r.validate(true) }
+
+// validate checks that the supervertices are distinct, share one order
+// and are consecutively adjacent, the last to the first when closed.
+func (q *seq) validate(closed bool) error {
+	m := len(q.verts)
+	seen := make(map[substar.Pattern]bool, m)
+	for i, v := range q.verts {
 		if seen[v] {
 			return fmt.Errorf("superring: supervertex %v occurs twice", v)
 		}
 		seen[v] = true
-		if v.R() != r.order {
-			return fmt.Errorf("superring: supervertex %d has order %d, want %d", i, v.R(), r.order)
+		if v.R() != q.order {
+			return fmt.Errorf("superring: supervertex %d has order %d, want %d", i, v.R(), q.order)
 		}
-		if !v.Adjacent(r.At(i + 1)) {
-			return fmt.Errorf("superring: supervertices %d and %d not adjacent", i, (i+1)%len(r.verts))
+		if (closed || i+1 < m) && !v.Adjacent(q.verts[(i+1)%m]) {
+			return fmt.Errorf("superring: supervertices %d and %d not adjacent", i, (i+1)%m)
 		}
 	}
 	return nil

@@ -14,12 +14,17 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/perm"
 	"repro/internal/substar"
 )
 
 // Ring is a cyclic sequence of pairwise-adjacent order-r substars of
 // S_n. Index arithmetic is modulo the length.
-type Ring struct {
+type Ring struct{ seq }
+
+// seq is the body Ring and Chain share: the ambient dimension, the
+// common order and the supervertices in sequence order.
+type seq struct {
 	n     int
 	order int
 	verts []substar.Pattern
@@ -48,26 +53,26 @@ func New(n int, verts []substar.Pattern) (*Ring, error) {
 			return nil, fmt.Errorf("superring: vertices %d (%v) and %d (%v) not adjacent", i, v, (i+1)%len(verts), next)
 		}
 	}
-	return &Ring{n: n, order: order, verts: verts}, nil
+	return &Ring{seq{n: n, order: order, verts: verts}}, nil
 }
 
 // N returns the ambient dimension.
-func (r *Ring) N() int { return r.n }
+func (q *seq) N() int { return q.n }
 
 // Order returns the order of each supervertex.
-func (r *Ring) Order() int { return r.order }
+func (q *seq) Order() int { return q.order }
 
 // Len returns the number of supervertices.
-func (r *Ring) Len() int { return len(r.verts) }
+func (q *seq) Len() int { return len(q.verts) }
+
+// Vertices returns the underlying slice; callers must not modify it.
+func (q *seq) Vertices() []substar.Pattern { return q.verts }
 
 // At returns supervertex i modulo the ring length.
 func (r *Ring) At(i int) substar.Pattern {
 	m := len(r.verts)
 	return r.verts[((i%m)+m)%m]
 }
-
-// Vertices returns the underlying slice; callers must not modify it.
-func (r *Ring) Vertices() []substar.Pattern { return r.verts }
 
 // Options direct a refinement or initial arrangement.
 type Options struct {
@@ -127,17 +132,15 @@ func Initial(n, pos int, opts Options) (*Ring, error) {
 }
 
 // arrangeCycle orders patterns into a cyclic sequence with no two
-// fault-bearing entries adjacent when SpreadFaults is set, via a small
-// backtracking search (the sequences involved have length <= n).
+// fault-bearing entries adjacent when SpreadFaults is set (the
+// sequences involved have length <= n).
 func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error) {
-	if !opts.SpreadFaults || opts.FaultCount == nil {
+	if !opts.SpreadFaults {
 		return ps, nil
 	}
-	faulty := make([]bool, len(ps))
 	numFaulty := 0
-	for i, p := range ps {
+	for _, p := range ps {
 		if opts.faultCount(p) > 0 {
-			faulty[i] = true
 			numFaulty++
 		}
 	}
@@ -148,20 +151,34 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 		return nil, fmt.Errorf("%w: %d faulty among %d supervertices cannot be non-adjacent in a cycle",
 			ErrUnsatisfiable, numFaulty, len(ps))
 	}
-	// Interleave: place faulty patterns at positions 0, 2, 4, ... and
-	// healthy ones in the remaining slots; with numFaulty <= len/2 this
-	// never puts two faulty entries next to each other (including the
-	// wraparound, because position 2*(numFaulty-1) < len-1... position
-	// len-1 is healthy whenever numFaulty <= len/2).
-	out := make([]substar.Pattern, 0, len(ps))
+	// With numFaulty <= len/2 the interleave ends on a healthy pattern,
+	// so the wraparound joins a healthy pattern to the first one.
+	out := interleave(ps, opts)
+	for i := range out {
+		if opts.faultCount(out[i]) > 0 && opts.faultCount(out[(i+1)%len(out)]) > 0 {
+			return nil, fmt.Errorf("%w: fault interleaving failed", ErrUnsatisfiable)
+		}
+	}
+	return out, nil
+}
+
+// interleave alternates fault-bearing and healthy patterns, starting
+// with a fault-bearing one, so no two fault-bearing patterns are
+// consecutive while healthy ones remain. Without SpreadFaults it
+// returns ps unchanged.
+func interleave(ps []substar.Pattern, opts Options) []substar.Pattern {
+	if !opts.SpreadFaults || opts.FaultCount == nil {
+		return ps
+	}
 	var fs, hs []substar.Pattern
-	for i, p := range ps {
-		if faulty[i] {
+	for _, p := range ps {
+		if opts.faultCount(p) > 0 {
 			fs = append(fs, p)
 		} else {
 			hs = append(hs, p)
 		}
 	}
+	out := make([]substar.Pattern, 0, len(ps))
 	for len(fs) > 0 || len(hs) > 0 {
 		if len(fs) > 0 {
 			out = append(out, fs[0])
@@ -172,19 +189,28 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 			hs = hs[1:]
 		}
 	}
-	// Verify the wraparound.
-	for i := range out {
-		if opts.faultCount(out[i]) > 0 && opts.faultCount(out[(i+1)%len(out)]) > 0 {
-			return nil, fmt.Errorf("%w: fault interleaving failed", ErrUnsatisfiable)
-		}
-	}
-	return out, nil
+	return out
 }
 
 // Refine performs the pos-partition on the ring (Definition 5) and
 // threads a Hamiltonian path through each resulting clique, returning
-// the ring of order-(r-1) supervertices. The construction follows
-// Lemma 3's proof:
+// the ring of order-(r-1) supervertices; see refine for the Lemma 3
+// rules the threading obeys.
+func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
+	verts, err := refine(r.verts, pos, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return New(r.n, verts)
+}
+
+// anchors pin the ends of a chain: its first supervertex holds s and
+// its last holds t.
+type anchors struct{ s, t perm.Code }
+
+// refine is the clique-level refinement shared by rings and chains. It
+// partitions every supervertex at pos into a clique of children and
+// threads one path through each clique, following Lemma 3's proof:
 //
 //   - entry and exit children of each clique are never the child blocked
 //     toward the relevant neighbor (otherwise no superedge would exist);
@@ -195,48 +221,63 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 //   - junction children are healthy and fault-bearing children are
 //     spread when the options demand it, yielding (P3).
 //
-// The junction symbols are chosen by a sequential scan with local
-// backtracking; within the paper's fault budget a valid assignment
-// always exists.
-func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
+// A nil ends means a closed ring: m junctions, the last joining clique
+// m-1 back to clique 0. A chain has m-1 junctions; its first clique
+// enters at the child holding ends.s and its last exits at the child
+// holding ends.t. The junction symbols are chosen by one depth-first
+// search with backtracking; within the paper's fault budget a valid
+// assignment always exists.
+func refine(verts []substar.Pattern, pos int, ends *anchors, opts Options) ([]substar.Pattern, error) {
 	span := opts.Obs.Span("superring.phase.refine")
 	defer span.End()
-	m := len(r.verts)
+	m, gaps := len(verts), len(verts)
+	if ends != nil {
+		gaps = m - 1
+	}
 	cliques := make([][]substar.Pattern, m)
 	blockedPrev := make([]substar.Pattern, m) // child of k not adjacent to k-1
 	blockedNext := make([]substar.Pattern, m) // child of k not adjacent to k+1
-	for k := 0; k < m; k++ {
-		all := r.verts[k].Partition(pos)
+	for k, v := range verts {
+		all := v.Partition(pos)
 		kept := all[:0:0]
 		for _, c := range all {
 			if !opts.excluded(c) {
 				kept = append(kept, c)
 			}
 		}
-		if len(kept) < 3 {
+		if len(kept) < 2 {
 			return nil, fmt.Errorf("superring: clique %d has only %d children after exclusion", k, len(kept))
 		}
 		cliques[k] = kept
-		blockedPrev[k] = r.verts[k].BlockedChild(r.At(k-1), pos)
-		blockedNext[k] = r.verts[k].BlockedChild(r.At(k+1), pos)
+		// A chain's outer ends have no neighbor; their zero Pattern
+		// blocks no child.
+		if k > 0 || ends == nil {
+			blockedPrev[k] = v.BlockedChild(verts[(k-1+m)%m], pos)
+		}
+		if k < gaps {
+			blockedNext[k] = v.BlockedChild(verts[(k+1)%m], pos)
+		}
 	}
 
 	// Junction symbol q_k joins clique k to clique k+1: the exit of k is
 	// verts[k] with q_k fixed at pos, the entry of k+1 is verts[k+1]
 	// with q_k fixed at pos. Valid q_k are the free symbols shared by
 	// both parents, avoiding excluded or (when required) faulty children
-	// on either side.
-	candidates := make([][]uint8, m)
-	for k := 0; k < m; k++ {
+	// on either side, and a chain's anchored children.
+	candidates := make([][]uint8, gaps)
+	for k := range candidates {
 		next := (k + 1) % m
 		var cs []uint8
-		for _, q := range sharedFreeSymbols(r.verts[k], r.At(k+1)) {
-			exitChild := r.verts[k].Fix(pos, q)
-			entryChild := r.verts[next].Fix(pos, q)
+		for _, q := range sharedFreeSymbols(verts[k], verts[next]) {
+			exitChild := verts[k].Fix(pos, q)
+			entryChild := verts[next].Fix(pos, q)
 			if opts.excluded(exitChild) || opts.excluded(entryChild) {
 				continue
 			}
 			if opts.HealthyJunctions && (opts.faultCount(exitChild) > 0 || opts.faultCount(entryChild) > 0) {
+				continue
+			}
+			if ends != nil && (k == 0 && q == ends.s.Symbol(pos) || next == m-1 && q == ends.t.Symbol(pos)) {
 				continue
 			}
 			cs = append(cs, q)
@@ -248,23 +289,89 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 		candidates[k] = cs
 	}
 
-	qs, err := chooseJunctions(r, pos, cliques, blockedPrev, blockedNext, candidates, opts)
-	if err != nil {
-		return nil, err
+	// Clique k's path runs from the child with symbol entryOf(k) at pos
+	// to the child with exitOf(k). Equal symbols are rejected before
+	// the children are built: Fix allocates, and the search makes the
+	// check for every candidate.
+	qs := make([]uint8, gaps)
+	entryOf := func(k int) uint8 {
+		switch {
+		case k > 0:
+			return qs[k-1]
+		case ends != nil:
+			return ends.s.Symbol(pos)
+		}
+		return qs[gaps-1]
+	}
+	exitOf := func(k int) uint8 {
+		if k == gaps {
+			return ends.t.Symbol(pos) // only a chain's last clique lies past its gaps
+		}
+		return qs[k]
+	}
+	thread := func(k int) ([]substar.Pattern, bool) {
+		in, out := entryOf(k), exitOf(k)
+		if in == out {
+			return nil, false
+		}
+		return orderClique(cliques[k], verts[k].Fix(pos, in), verts[k].Fix(pos, out), blockedPrev[k], blockedNext[k], opts)
+	}
+	feasible := func(k int) bool {
+		_, ok := thread(k)
+		return ok
 	}
 
-	// Thread the clique paths.
-	var out []substar.Pattern
-	for k := 0; k < m; k++ {
-		entry := r.verts[k].Fix(pos, qs[(k-1+m)%m])
-		exit := r.verts[k].Fix(pos, qs[k])
-		path, ok := orderClique(cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts)
+	// Depth-first over junctions 0..gaps-1, trying candidates in order.
+	// Setting junction k makes clique k checkable (a ring's clique 0
+	// waits for its entry, the closing junction); setting the last
+	// junction also checks clique gaps % m, which is clique 0 of a ring
+	// and the last clique of a chain. The step bound guards against
+	// pathological backtracking and scales with the clique count, or the
+	// bound itself becomes the limit on large levels.
+	closing := gaps % m
+	maxSteps := 1 << 20
+	if s := 32 * m; s > maxSteps {
+		maxSteps = s
+	}
+	backtracks := opts.Obs.Registry().Counter("superring.junction.backtracks")
+	idx := make([]int, gaps) // next candidate index to try at each junction
+	steps := 0
+	for k := 0; k < gaps; {
+		if steps++; steps > maxSteps {
+			return nil, fmt.Errorf("%w: junction search exceeded %d steps (cliques=%d)", ErrUnsatisfiable, maxSteps, m)
+		}
+		if idx[k] >= len(candidates[k]) {
+			idx[k] = 0
+			if k--; k < 0 {
+				return nil, fmt.Errorf("%w: no junction assignment threads the cliques", ErrUnsatisfiable)
+			}
+			idx[k]++
+			backtracks.Inc()
+			continue
+		}
+		qs[k] = candidates[k][idx[k]]
+		ok := (k == 0 && ends == nil) || feasible(k)
+		if ok && k == gaps-1 {
+			ok = feasible(closing)
+		}
 		if !ok {
-			return nil, fmt.Errorf("%w: clique %d admits no path from %v to %v", ErrUnsatisfiable, k, entry, exit)
+			idx[k]++
+			backtracks.Inc()
+			continue
+		}
+		k++
+	}
+
+	out := make([]substar.Pattern, 0, m*len(cliques[0]))
+	for k := range cliques {
+		path, ok := thread(k)
+		if !ok {
+			return nil, fmt.Errorf("%w: clique %d admits no path from symbol %d to %d at position %d",
+				ErrUnsatisfiable, k, entryOf(k), exitOf(k), pos)
 		}
 		out = append(out, path...)
 	}
-	return New(r.n, out)
+	return out, nil
 }
 
 // sharedFreeSymbols returns the symbols free in both adjacent patterns,
@@ -279,71 +386,6 @@ func sharedFreeSymbols(a, b substar.Pattern) []uint8 {
 		}
 	}
 	return out
-}
-
-// chooseJunctions assigns a junction symbol to every superedge such that
-// every clique path is constructible: consecutive junction symbols of a
-// clique must differ (entry != exit) and the clique ordering constraints
-// must be satisfiable. A sequential scan with backtracking over the
-// (small) candidate lists; the cyclic constraint couples the last choice
-// back to the first.
-func chooseJunctions(r *Ring, pos int, cliques [][]substar.Pattern,
-	blockedPrev, blockedNext []substar.Pattern, candidates [][]uint8, opts Options) ([]uint8, error) {
-
-	m := len(cliques)
-	qs := make([]uint8, m)
-	idx := make([]int, m) // next candidate index to try at each superedge
-	backtracks := opts.Obs.Registry().Counter("superring.junction.backtracks")
-
-	feasible := func(k int) bool {
-		// Clique k's path runs from Fix(pos, qs[k-1]) to Fix(pos, qs[k]).
-		prev := (k - 1 + m) % m
-		if qs[prev] == qs[k] {
-			return false
-		}
-		entry := r.verts[k].Fix(pos, qs[prev])
-		exit := r.verts[k].Fix(pos, qs[k])
-		_, ok := orderClique(cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts)
-		return ok
-	}
-
-	// Depth-first over superedges 0..m-1. After assigning qs[k] we can
-	// check clique k (its entry qs[k-1] is known for k >= 1); assigning
-	// qs[m-1] additionally checks clique 0 (closing the cycle).
-	const maxBacktrack = 1 << 20
-	steps := 0
-	k := 0
-	for k < m {
-		if steps++; steps > maxBacktrack {
-			return nil, fmt.Errorf("%w: junction search exceeded backtracking budget", ErrUnsatisfiable)
-		}
-		if idx[k] >= len(candidates[k]) {
-			// Exhausted: back up.
-			idx[k] = 0
-			k--
-			if k < 0 {
-				return nil, fmt.Errorf("%w: no junction assignment closes the ring", ErrUnsatisfiable)
-			}
-			idx[k]++
-			backtracks.Inc()
-			continue
-		}
-		qs[k] = candidates[k][idx[k]]
-		ok := true
-		if k >= 1 && !feasible(k) {
-			ok = false
-		}
-		if ok && k == m-1 && !feasible(0) {
-			ok = false
-		}
-		if !ok {
-			idx[k]++
-			backtracks.Inc()
-			continue
-		}
-		k++
-	}
-	return qs, nil
 }
 
 // orderClique finds a Hamiltonian ordering of the clique's children

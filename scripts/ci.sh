@@ -431,7 +431,8 @@ leg "perf gate" perf_gate || exit 1
 # Fuzz smoke: one target per invocation (the go tool's -fuzz accepts a
 # single match), a few seconds each. These catch regressions in input
 # handling and, for FuzzEmbedRing and FuzzRepairSequence, in the
-# embedding and copy-on-repair pipeline itself.
+# embedding and copy-on-repair pipeline itself; FuzzRefine holds the
+# shared super-ring refiner to valid rings and anchored chains.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -443,6 +444,7 @@ leg "fuzz check/FuzzVerifyRing" fuzz_smoke ./internal/check FuzzVerifyRing || ex
 leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || exit 1
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
 leg "fuzz ringio/FuzzReadText" fuzz_smoke ./internal/ringio FuzzReadText || exit 1
+leg "fuzz superring/FuzzRefine" fuzz_smoke ./internal/superring FuzzRefine || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz core/FuzzRepairSequence" fuzz_smoke ./internal/core FuzzRepairSequence || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1
